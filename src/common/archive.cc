@@ -1,11 +1,39 @@
 #include "common/archive.h"
 
+#include <algorithm>
+
 namespace silofuse {
 
 namespace {
 template <typename T>
 void WriteRawImpl(std::ostream* out, T v) {
   out->write(reinterpret_cast<const char*>(&v), sizeof(T));
+}
+
+/// Reads a length-prefixed payload of `size` elements in chunks of at most
+/// 1 MiB, growing `out` only as bytes actually arrive: a corrupt length
+/// fails at the end of the stream, having allocated about as much as the
+/// stream held instead of what the length claimed.
+template <typename Container>
+Status ReadChunked(std::istream* in, uint64_t size, const char* what,
+                   Container* out) {
+  using T = typename Container::value_type;
+  if (size > kMaxArchiveVectorLength) {
+    return Status::IOError(std::string("corrupt ") + what +
+                           " length in archive");
+  }
+  constexpr uint64_t kChunkElements = (uint64_t{1} << 20) / sizeof(T);
+  for (uint64_t done = 0; done < size;) {
+    const uint64_t n = std::min(kChunkElements, size - done);
+    out->resize(done + n);
+    if (!in->read(reinterpret_cast<char*>(out->data() + done),
+                  static_cast<std::streamsize>(n * sizeof(T)))) {
+      return Status::IOError(std::string("unexpected end of archive in ") +
+                             what);
+    }
+    done += n;
+  }
+  return Status::OK();
 }
 }  // namespace
 
@@ -61,39 +89,22 @@ Result<bool> BinaryReader::ReadBool() {
 
 Result<std::string> BinaryReader::ReadString() {
   SF_ASSIGN_OR_RETURN(uint64_t size, ReadU64());
-  if (size > kMaxArchiveVectorLength) {
-    return Status::IOError("corrupt string length in archive");
-  }
-  std::string v(size, '\0');
-  if (!in_->read(v.data(), static_cast<std::streamsize>(size))) {
-    return Status::IOError("unexpected end of archive in string");
-  }
+  std::string v;
+  SF_RETURN_NOT_OK(ReadChunked(in_, size, "string", &v));
   return v;
 }
 
 Result<std::vector<float>> BinaryReader::ReadFloatVector() {
   SF_ASSIGN_OR_RETURN(uint64_t size, ReadU64());
-  if (size > kMaxArchiveVectorLength) {
-    return Status::IOError("corrupt vector length in archive");
-  }
-  std::vector<float> v(size);
-  if (!in_->read(reinterpret_cast<char*>(v.data()),
-                 static_cast<std::streamsize>(size * sizeof(float)))) {
-    return Status::IOError("unexpected end of archive in float vector");
-  }
+  std::vector<float> v;
+  SF_RETURN_NOT_OK(ReadChunked(in_, size, "float vector", &v));
   return v;
 }
 
 Result<std::vector<double>> BinaryReader::ReadDoubleVector() {
   SF_ASSIGN_OR_RETURN(uint64_t size, ReadU64());
-  if (size > kMaxArchiveVectorLength) {
-    return Status::IOError("corrupt vector length in archive");
-  }
-  std::vector<double> v(size);
-  if (!in_->read(reinterpret_cast<char*>(v.data()),
-                 static_cast<std::streamsize>(size * sizeof(double)))) {
-    return Status::IOError("unexpected end of archive in double vector");
-  }
+  std::vector<double> v;
+  SF_RETURN_NOT_OK(ReadChunked(in_, size, "double vector", &v));
   return v;
 }
 

@@ -433,9 +433,9 @@ Result<std::unique_ptr<SiloFuse>> SiloFuse::LoadCheckpoint(
     if (count > kMaxArchiveVectorLength) {
       return Status::IOError("corrupt partition in checkpoint");
     }
-    cols.resize(count);
-    for (uint64_t i = 0; i < count; ++i) {
-      SF_ASSIGN_OR_RETURN(cols[i], reader.ReadI32());
+    for (uint64_t i = 0; i < count; ++i) {  // grows as the bytes arrive
+      SF_ASSIGN_OR_RETURN(const int32_t col, reader.ReadI32());
+      cols.push_back(col);
     }
   }
   for (uint64_t i = 0; i < num_clients; ++i) {

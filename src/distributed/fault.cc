@@ -348,9 +348,9 @@ Result<Matrix> ReliableTransfer::SendMatrix(const std::string& from,
       const int64_t start_ns = obs::internal_trace::NowNs();
       const int64_t backoff_ns =
           BackoffDelayMs(policy_, next_attempt - 2) * 1'000'000;
-      obs::internal_trace::RecordSpanEvent("transfer.backoff", start_ns,
-                                           start_ns + backoff_ns, ctx.Pack(),
-                                           from_party);
+      obs::internal_trace::RecordSpan("transfer.backoff", start_ns,
+                                      start_ns + backoff_ns, ctx.Pack(),
+                                      from_party);
     }
   };
   Status s = RunWithRetry(policy_, clock_, attempt, on_retry);

@@ -166,8 +166,9 @@ void TrainingMonitor::MarkAborted(int64_t step) {
   SetGauge("health." + prefix_ + ".watchdog.abort_step",
            static_cast<double>(step));
   MetricsRegistry::Global().GetCounter("health.watchdog.aborts")->Increment();
-  // Post-mortem: preserve the flight recorder's recent serving/runtime
-  // events alongside the abort (counted no-op when no dump dir is set).
+  // Post-mortem: preserve the event ring's newest events alongside the
+  // abort — serving phases, plus runtime spans only while tracing is on
+  // (counted no-op when no dump dir is set).
   FlightRecorder::Global().DumpOnTrigger("watchdog_abort");
 }
 

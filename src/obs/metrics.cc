@@ -79,8 +79,11 @@ std::string JsonDouble(double v) {
 
 std::mutex g_export_mu;
 std::string g_metrics_export_path;  // guarded by g_export_mu
+std::string g_trace_export_path;    // guarded by g_export_mu
 bool g_atexit_registered = false;   // guarded by g_export_mu
 
+// The one exit-time registration: FlushTelemetry writes every configured
+// export, so registering it once per export path would write each twice.
 void RegisterFlushAtExitLocked() {
   if (g_atexit_registered) return;
   g_atexit_registered = true;
@@ -98,8 +101,10 @@ void ApplyEnv() {
   }
 }
 
-// One-time lazy env read, piggybacked on first registry access so simply
-// linking the library costs nothing.
+// One-time env read. It runs when the library loads (below), so
+// SILOFUSE_TRACE records spans from the very first instrumented call — or
+// earlier, from MetricsRegistry::Global(), if another file's static
+// initializer reaches the registry first.
 void EnsureEnvApplied() {
   static const bool applied = [] {
     ApplyEnv();
@@ -107,6 +112,8 @@ void EnsureEnvApplied() {
   }();
   (void)applied;
 }
+
+[[maybe_unused]] const bool g_env_applied_at_load = (EnsureEnvApplied(), true);
 
 }  // namespace
 
@@ -451,6 +458,24 @@ void SetMetricsExportPath(const std::string& path) {
 std::string MetricsExportPath() {
   std::lock_guard<std::mutex> lock(g_export_mu);
   return g_metrics_export_path;
+}
+
+void EnableTracing(const std::string& export_path) {
+  {
+    std::lock_guard<std::mutex> lock(g_export_mu);
+    g_trace_export_path = export_path;
+    if (!export_path.empty()) RegisterFlushAtExitLocked();
+  }
+  internal_trace::g_enabled.store(true, std::memory_order_relaxed);
+}
+
+void DisableTracing() {
+  internal_trace::g_enabled.store(false, std::memory_order_relaxed);
+}
+
+std::string TraceExportPath() {
+  std::lock_guard<std::mutex> lock(g_export_mu);
+  return g_trace_export_path;
 }
 
 int InitTelemetryFromArgs(int argc, char** argv) {

@@ -254,8 +254,8 @@ int InitTelemetryFromArgs(int argc, char** argv);
 /// lazy env initialization runs once; tests that setenv() later call this).
 void ReinitTelemetryFromEnv();
 
-/// Writes the metrics snapshot and the trace buffer to their configured
-/// paths now. Also runs automatically at process exit once either path is
+/// Writes the metrics snapshot and the trace export to their configured
+/// paths now. Also runs (once) at process exit when either path is
 /// configured. Errors are logged, not fatal.
 void FlushTelemetry();
 

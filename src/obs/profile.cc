@@ -63,7 +63,13 @@ ProfileReport BuildProfile(const std::vector<TraceEvent>& events) {
   std::vector<int64_t> exclusive(events.size(), 0);
   std::map<int, std::vector<size_t>> by_tid;
   for (size_t i = 0; i < events.size(); ++i) {
-    if (events[i].phase == 'X') {
+    if (events[i].phase == 'X' &&
+        events[i].flight_phase != FlightPhase::kNone) {
+      // Serving phases are stamped after the fact (a request's queue wait
+      // is recorded by the worker that ends it), so they overlap the
+      // thread's spans without nesting: count them whole, outside the walk.
+      exclusive[i] = events[i].dur_ns;
+    } else if (events[i].phase == 'X') {
       by_tid[events[i].tid].push_back(i);
     } else if (events[i].phase == 'C') {
       ++report.total_counter_events;

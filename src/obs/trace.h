@@ -11,26 +11,35 @@
 namespace silofuse {
 namespace obs {
 
+/// Serving-path phase (FlightRecorder::Record); packed in slots, append only.
+enum class FlightPhase : uint8_t {
+  kNone = 0,           // not a serving phase (span, flow point, counter)
+  kCacheLoad = 1,      // checkpoint fetch/restore for a batch's deployment
+  kEnqueue = 2,        // instant: request admitted into a batcher queue
+  kQueue = 3,          // waiting for the batcher worker to be free
+  kLinger = 4,         // deliberate wait for co-batchable arrivals
+  kSample = 5,         // batched few-step DDIM denoising pass
+  kDecode = 6,         // per-request latent decode + reassembly
+  kStream = 7,         // chunked delivery to the caller's sink
+  kReject = 8,         // instant: admission control shed this request
+  kBreach = 9,         // instant: SLO monitor entered breach
+  kQualityBreach = 10,  // instant: quality auditor entered breach
+};
+
+/// Stable event name of a serving phase ("serve.queue", ...).
+const char* FlightPhaseName(FlightPhase phase);
+
+/// Writers into the calling thread's event ring (FlightRecorder). Names are
+/// literals or interned (the pointer is stored); an interned `party` puts
+/// the event on that party's track; `packed_ctx` is TraceContext::Pack.
 namespace internal_trace {
-/// Process-wide tracing switch. A relaxed load of this atomic is the entire
-/// disabled-path cost of SF_TRACE_SPAN.
+/// The tracing switch: a relaxed load is SF_TRACE_SPAN's whole off cost.
 extern std::atomic<bool> g_enabled;
-/// Nanoseconds on the steady clock since the process trace epoch.
-int64_t NowNs();
-/// Appends one closed span to the calling thread's buffer. `name` must be a
-/// string literal (the pointer is stored, not the characters).
-void RecordSpan(const char* name, int64_t start_ns, int64_t end_ns);
-/// Span with a packed TraceContext (trace_context.h) and an optional
-/// interned party attribution; party-attributed spans are exported on a
-/// per-party track (Chrome pid) so cross-silo work reads as one timeline.
-void RecordSpanEvent(const char* name, int64_t start_ns, int64_t end_ns,
-                     uint64_t packed_ctx, const char* party);
-/// Flow point ("s" when start, else "f") at the current time, binding to
-/// the span enclosing it in the exported trace.
+int64_t NowNs();  // steady clock, ns since the process trace epoch
+void RecordSpan(const char* name, int64_t start_ns, int64_t end_ns,
+                uint64_t packed_ctx = 0, const char* party = nullptr);
 void RecordFlowEvent(const char* name, uint64_t flow_id, bool start,
                      const char* party);
-/// Counter sample ("C") at the current time: the viewer renders a stepped
-/// time-series track per name. `name` must be a literal or interned string.
 void RecordCounterEvent(const char* name, double value, const char* party);
 }  // namespace internal_trace
 
@@ -39,64 +48,55 @@ inline bool TraceEnabled() {
   return internal_trace::g_enabled.load(std::memory_order_relaxed);
 }
 
-/// Nanoseconds since the process trace epoch (steady clock). The flight
-/// recorder and ad-hoc instrumentation stamp with this so their timestamps
-/// line up with SF_TRACE_SPAN exports on one timeline.
+/// Nanoseconds since the trace epoch: the one timeline of every event.
 inline int64_t TraceNowNs() { return internal_trace::NowNs(); }
 
-/// Starts recording spans. A non-empty `export_path` is written (Chrome
-/// trace-event JSON, loadable in chrome://tracing / Perfetto) by
-/// FlushTelemetry and automatically at process exit. Initial state comes
-/// from the SILOFUSE_TRACE environment variable.
+/// Starts recording spans; FlushTelemetry (also run at exit) writes a
+/// non-empty `export_path`. SILOFUSE_TRACE sets the initial state.
 void EnableTracing(const std::string& export_path);
 void DisableTracing();
-
 /// Path WriteTraceJson is flushed to ("" = none).
 std::string TraceExportPath();
 
-/// One recorded event, for programmatic inspection (tests, profile
-/// aggregation, bench summaries). `phase` distinguishes complete spans
-/// ('X') from transfer flow points ('s' = flow start, 'f' = flow finish)
-/// and counter samples ('C', carrying `value`); flow points have
-/// dur_ns == 0 and a nonzero flow_id shared by both ends of one transfer.
-/// Context fields mirror obs::TraceContext and are unset (run_id 0,
-/// round 0, silo_id -1, tag nullptr) for plain spans.
+/// One recorded event; `phase` is the Chrome phase: 'X' span, 's'/'f' flow
+/// point (flow_id shared by both ends) or 'C' counter sample (`value`).
+/// Serving phases are 'X' events with `flight_phase` and the request set.
 struct TraceEvent {
   std::string name;
-  int tid = 0;          // small per-thread id, 1 = first recording thread
+  int tid = 0;  // small per-thread id, 1 = first recording thread
   int64_t start_ns = 0;
   int64_t dur_ns = 0;
   char phase = 'X';
-  double value = 0.0;   // counter samples only
+  double value = 0.0;
   uint64_t flow_id = 0;
   uint32_t run_id = 0;
   int32_t round = 0;
   int32_t silo_id = -1;
   const char* tag = nullptr;    // interned transfer tag
   const char* party = nullptr;  // interned party name, nullptr = process
+  FlightPhase flight_phase = FlightPhase::kNone;
+  uint64_t request_id = 0;  // 0 = not request-scoped
+  uint64_t batch_id = 0;    // 0 = not batch-scoped
+  int32_t rows = 0;
+  const char* deployment = nullptr;
 };
 
-/// Copies all recorded spans out of every thread buffer, sorted by start
-/// time. Does not clear the buffers.
+/// Every retained event (rings + spill archives), sorted by start time.
 std::vector<TraceEvent> SnapshotTraceEvents();
 
-/// Drops all recorded spans (test isolation).
+/// Drops every recorded event (test isolation; must not race recording).
 void ClearTraceEvents();
 
-/// Writes the recorded spans as a Chrome trace-event JSON object to `path`.
+/// Writes SnapshotTraceEvents() as Chrome trace-event JSON (Perfetto).
 Status WriteTraceJson(const std::string& path);
 
 /// RAII span: records [construction, destruction) on the calling thread
-/// when tracing is enabled. Nesting works naturally — inner spans close
-/// before outer ones and the viewer stacks them by timestamp.
+/// when tracing is enabled; the viewer nests spans by timestamp.
 class TraceSpan {
  public:
-  explicit TraceSpan(const char* name) {
-    if (TraceEnabled()) {
-      name_ = name;
-      start_ns_ = internal_trace::NowNs();
-    }
-  }
+  explicit TraceSpan(const char* name)
+      : name_(TraceEnabled() ? name : nullptr),
+        start_ns_(name_ != nullptr ? internal_trace::NowNs() : 0) {}
   ~TraceSpan() {
     if (name_ != nullptr) {
       internal_trace::RecordSpan(name_, start_ns_, internal_trace::NowNs());

@@ -26,7 +26,7 @@ struct InternTable {
 };
 
 InternTable* Interned() {
-  // Leaky: interned pointers live inside trace buffers that are flushed at
+  // Leaky: interned pointers live inside event rings that are flushed at
   // process exit, after static destruction may have begun.
   static auto* table = new InternTable();
   return table;
@@ -118,8 +118,8 @@ ContextSpan::ContextSpan(const char* name, const char* party,
 
 ContextSpan::~ContextSpan() {
   if (name_ != nullptr) {
-    internal_trace::RecordSpanEvent(name_, start_ns_, internal_trace::NowNs(),
-                                    packed_ctx_, party_);
+    internal_trace::RecordSpan(name_, start_ns_, internal_trace::NowNs(),
+                               packed_ctx_, party_);
   }
 }
 

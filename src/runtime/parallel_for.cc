@@ -24,8 +24,6 @@ constexpr int kMaxThreadSetting = 256;
 // fan-out wins. AutoGrain sizes chunks to this floor and ParallelForCost
 // stays serial below two such chunks.
 constexpr double kMinChunkCostNs = 50'000.0;
-// Thread-local flag behind ScopedFastReduction::Active().
-thread_local bool g_fast_reduction = false;
 // Static cap on chunks per region. Together with `grain` this fully
 // determines chunk boundaries from the range alone, never from the thread
 // count — the root of the determinism contract in parallel_for.h.
@@ -227,36 +225,9 @@ void ParallelForCost(int64_t begin, int64_t end, double cost_per_iter_ns,
 }
 
 double ParallelReduceSum(int64_t begin, int64_t end, int64_t grain,
-                         const std::function<double(int64_t, int64_t)>& fn,
-                         Reduction mode) {
+                         const std::function<double(int64_t, int64_t)>& fn) {
   const int64_t n = end - begin;
   if (n <= 0) return 0.0;
-  if (mode == Reduction::kFast) {
-    // Inference-only mode: chunk by worker count (more, smaller chunks keep
-    // all threads busy on modest ranges) and combine as a pairwise tree.
-    // Both choices change low-order bits vs kDeterministic and across
-    // thread counts — callers opted into that via ScopedFastReduction.
-    int num_threads = 1;
-    GetPool(&num_threads);
-    const int64_t target_chunks = std::max<int64_t>(1, 4 * num_threads);
-    const int64_t fast_grain =
-        std::max(grain, (n + target_chunks - 1) / target_chunks);
-    const int64_t chunk = ChunkSize(n, fast_grain);
-    const int64_t num_chunks = (n + chunk - 1) / chunk;
-    std::vector<double> partials(static_cast<size_t>(num_chunks), 0.0);
-    RunRegion(begin, end, fast_grain,
-              [&fn, &partials](int64_t idx, int64_t lo, int64_t hi) {
-                partials[static_cast<size_t>(idx)] = fn(lo, hi);
-              });
-    // Pairwise tree combine: O(log n) error growth instead of O(n).
-    for (int64_t width = 1; width < num_chunks; width *= 2) {
-      for (int64_t i = 0; i + width < num_chunks; i += 2 * width) {
-        partials[static_cast<size_t>(i)] +=
-            partials[static_cast<size_t>(i + width)];
-      }
-    }
-    return partials[0];
-  }
   const int64_t chunk = ChunkSize(n, grain);
   const int64_t num_chunks = (n + chunk - 1) / chunk;
   std::vector<double> partials(static_cast<size_t>(num_chunks), 0.0);
@@ -270,13 +241,5 @@ double ParallelReduceSum(int64_t begin, int64_t end, int64_t grain,
   for (double p : partials) total += p;
   return total;
 }
-
-ScopedFastReduction::ScopedFastReduction() : prev_(g_fast_reduction) {
-  g_fast_reduction = true;
-}
-
-ScopedFastReduction::~ScopedFastReduction() { g_fast_reduction = prev_; }
-
-bool ScopedFastReduction::Active() { return g_fast_reduction; }
 
 }  // namespace silofuse

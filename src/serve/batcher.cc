@@ -155,13 +155,6 @@ Result<std::future<Result<Table>>> RequestBatcher::SubmitAsync(
   flight.Record(obs::FlightPhase::kEnqueue, request.request_id,
                 /*batch_id=*/0, request.deployment, request.rows, submit_ns,
                 submit_ns);
-  // Trace-side flow start: the matching finish is recorded inside the
-  // dispatch span on the worker thread, so the viewer draws an arrow from
-  // the caller's submit into the batch that served it.
-  if (request.request_id != 0) {
-    obs::RecordTransferFlow("serve.request", request.request_id,
-                            /*start=*/true);
-  }
   queue_cv_.notify_one();
   return future;
 }
@@ -246,13 +239,6 @@ void RequestBatcher::Dispatch(std::vector<Pending> batch, int64_t wake_ns) {
   obs::ScopedTraceContext batch_scope(batch_ctx);
   Result<std::vector<Table>> result = [&] {
     obs::ContextSpan dispatch_span("serve.dispatch");
-    // Trace-side flow finish for every member, bound to the dispatch span.
-    for (const Request& request : requests) {
-      if (request.request_id != 0) {
-        obs::RecordTransferFlow("serve.request", request.request_id,
-                                /*start=*/false);
-      }
-    }
     return batch_fn_(requests, requests.front().params);
   }();
   if (!result.ok()) {

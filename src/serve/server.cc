@@ -15,7 +15,6 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "obs/trace_context.h"
-#include "runtime/parallel_for.h"
 
 namespace silofuse {
 namespace serve {
@@ -317,11 +316,8 @@ Result<std::vector<Table>> SynthesisServer::RunBatch(
   }
 
   const int64_t batch_start_ns = obs::TraceNowNs();
-  std::shared_ptr<SiloFuse> model;
-  {
-    obs::ContextSpan cache_span("serve.cache_load");
-    SF_ASSIGN_OR_RETURN(model, cache_.Get(deployment));
-  }
+  SF_ASSIGN_OR_RETURN(std::shared_ptr<SiloFuse> model,
+                      cache_.Get(deployment));
   const int64_t cache_done_ns = obs::TraceNowNs();
   metrics.cache_load_ms->Observe(
       static_cast<double>(cache_done_ns - batch_start_ns) / 1e6);
@@ -338,16 +334,8 @@ Result<std::vector<Table>> SynthesisServer::RunBatch(
     coalesced.push_back({request.rows, &rngs.back()});
   }
   CoalescedTiming timing;
-  Result<std::vector<Table>> result = [&] {
-    // Serving is a pure-inference path: opt the whole coalesced pass into
-    // the runtime's fast (tree-combined, thread-count-dependent)
-    // reductions. Output bytes are untouched — sampling/decoding writes are
-    // elementwise — only internal scalar reductions (norms/sums) take the
-    // faster combine, and the contract that each output is byte-identical
-    // to a solo request with the same seed is preserved.
-    ScopedFastReduction fast_reductions;
-    return model->SynthesizeCoalesced(coalesced, params, &timing);
-  }();
+  Result<std::vector<Table>> result =
+      model->SynthesizeCoalesced(coalesced, params, &timing);
   const int64_t done_ns = obs::TraceNowNs();
   if (!result.ok()) return result;
 
@@ -450,7 +438,6 @@ Result<Table> SynthesisServer::SynthesizeInternal(const ServeRequest& request,
   Result<Table> result = BatcherFor(request.deployment)->Submit(order);
   Status stream_status = Status::OK();
   if (result.ok() && sink != nullptr) {
-    obs::ContextSpan stream_span("serve.stream");
     const int64_t stream_start_ns = obs::TraceNowNs();
     const Table& table = result.Value();
     // Chunking applies to DELIVERY only: the decode itself must be whole-

@@ -2,7 +2,10 @@
 // component Save/Load, and full SiloFuse checkpoint restore (synthesis from
 // a reloaded model must be schema-correct and deterministic given a seed).
 
+#include <atomic>
 #include <cstdio>
+#include <cstdlib>
+#include <new>
 #include <fstream>
 #include <memory>
 #include <sstream>
@@ -16,6 +19,31 @@
 #include "diffusion/gaussian_ddpm.h"
 #include "models/autoencoder.h"
 #include "tensor/matrix_io.h"
+
+namespace silofuse {
+namespace {
+
+// Largest single operator-new request since the last reset, so a test can
+// assert that a corrupt length field never turns into a huge allocation.
+std::atomic<size_t> g_largest_allocation{0};
+
+}  // namespace
+}  // namespace silofuse
+
+// Out of line, so the compiler never pairs an inlined malloc with a free at
+// a call site and warns about a mismatch that does not exist.
+[[gnu::noinline]] void* operator new(std::size_t size) {
+  size_t seen = silofuse::g_largest_allocation.load(std::memory_order_relaxed);
+  while (size > seen && !silofuse::g_largest_allocation.compare_exchange_weak(
+                            seen, size, std::memory_order_relaxed)) {
+  }
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace silofuse {
 namespace {
@@ -63,6 +91,54 @@ TEST(ArchiveTest, CorruptLengthRejected) {
   writer.WriteU64(kMaxArchiveVectorLength + 1);  // absurd string length
   BinaryReader reader(&stream);
   EXPECT_FALSE(reader.ReadString().ok());
+}
+
+TEST(ArchiveTest, CorruptLengthFailsWithoutAllocatingIt) {
+  // 16-byte streams whose length field claims 2^30 elements (8 GiB of
+  // doubles): each read must fail having allocated about what the stream
+  // held, never what the length claimed.
+  auto corrupt_stream = [] {
+    auto stream = std::make_unique<std::stringstream>();
+    BinaryWriter writer(stream.get());
+    writer.WriteU64(uint64_t{1} << 30);
+    writer.WriteF64(1.0);
+    return stream;
+  };
+  constexpr size_t kBound = size_t{64} << 20;
+  {
+    auto stream = corrupt_stream();
+    BinaryReader reader(stream.get());
+    g_largest_allocation = 0;
+    EXPECT_FALSE(reader.ReadDoubleVector().ok());
+    EXPECT_LT(g_largest_allocation.load(), kBound);
+  }
+  {
+    auto stream = corrupt_stream();
+    BinaryReader reader(stream.get());
+    g_largest_allocation = 0;
+    EXPECT_FALSE(reader.ReadFloatVector().ok());
+    EXPECT_LT(g_largest_allocation.load(), kBound);
+  }
+  {
+    auto stream = corrupt_stream();
+    BinaryReader reader(stream.get());
+    g_largest_allocation = 0;
+    EXPECT_FALSE(reader.ReadString().ok());
+    EXPECT_LT(g_largest_allocation.load(), kBound);
+  }
+}
+
+TEST(ArchiveTest, LargeVectorsStillRoundTrip) {
+  // Payloads spanning several read chunks come back intact.
+  std::vector<double> big(3 * (1 << 17) + 5);
+  for (size_t i = 0; i < big.size(); ++i) big[i] = 0.5 * static_cast<double>(i);
+  std::stringstream stream;
+  BinaryWriter writer(&stream);
+  writer.WriteDoubleVector(big);
+  BinaryReader reader(&stream);
+  auto back = reader.ReadDoubleVector();
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  EXPECT_EQ(back.Value(), big);
 }
 
 TEST(MatrixIoTest, RoundTripExact) {

@@ -1,10 +1,12 @@
-// Tests of the always-on serving flight recorder (src/obs/flight_recorder):
-// ring round-trip and overwrite semantics, Perfetto-JSON dump validity
-// (parsed back with the repo's own JSON reader), dump-directory plumbing,
-// and writer/reader race freedom (this test runs under the TSan CI job).
+// Tests of the per-thread event ring (src/obs/flight_recorder): ring
+// round-trip and overwrite semantics, Perfetto-JSON dump validity (parsed
+// back with the repo's own JSON reader), dump-directory plumbing, the trace
+// export's spill archive and shared thread ids, and writer/reader race
+// freedom with and without tracing (this test runs under the TSan CI job).
 
 #include <atomic>
 #include <cstdio>
+#include <map>
 #include <set>
 #include <string>
 #include <thread>
@@ -27,6 +29,10 @@ class FlightRecorderTest : public ::testing::Test {
   void SetUp() override {
     FlightRecorder::Global().SetEnabled(true);
     FlightRecorder::Global().SetDumpDir("");
+    FlightRecorder::Global().Clear();
+  }
+  void TearDown() override {
+    DisableTracing();
     FlightRecorder::Global().Clear();
   }
 };
@@ -221,6 +227,133 @@ TEST_F(FlightRecorderTest, ConcurrentWritersAndSnapshotReadersAreRaceFree) {
   // full ring per writer thread (plus nothing from this thread).
   const std::vector<FlightEvent> events = flight.Snapshot();
   EXPECT_EQ(events.size(), kWriters * FlightRecorder::kRingSlots);
+}
+
+TEST_F(FlightRecorderTest, ThreadHasTheSameTidInDumpAndTraceExport) {
+  auto& flight = FlightRecorder::Global();
+  EnableTracing("");
+  // Threads that record only spans or only serving phases sit between the
+  // two checked threads, so two separate thread registries could not agree
+  // on both by accident.
+  auto run = [](auto fn) { std::thread(fn).join(); };
+  run([] { SF_TRACE_SPAN("tid.span_only"); });
+  run([&flight] {
+    SF_TRACE_SPAN("tid.second");
+    flight.Record(FlightPhase::kQueue, 2, 0, nullptr, 1, 0, 1);
+  });
+  run([&flight] {
+    flight.Record(FlightPhase::kQueue, 3, 0, nullptr, 1, 0, 1);
+  });
+  run([&flight] {
+    SF_TRACE_SPAN("tid.fourth");
+    flight.Record(FlightPhase::kQueue, 4, 0, nullptr, 1, 0, 1);
+  });
+  DisableTracing();
+
+  std::map<std::string, int> span_tid;
+  for (const TraceEvent& e : SnapshotTraceEvents()) span_tid[e.name] = e.tid;
+  std::map<uint64_t, int> flight_tid;
+  for (const FlightEvent& e : flight.Snapshot()) {
+    if (e.phase == FlightPhase::kQueue) flight_tid[e.request_id] = e.tid;
+  }
+  ASSERT_TRUE(span_tid.count("tid.second") && span_tid.count("tid.fourth"));
+  ASSERT_TRUE(flight_tid.count(2) && flight_tid.count(4));
+  EXPECT_EQ(span_tid["tid.second"], flight_tid[2]);
+  EXPECT_EQ(span_tid["tid.fourth"], flight_tid[4]);
+}
+
+TEST_F(FlightRecorderTest, TracingArchivesEverySpanWhileDumpsKeepTheNewest) {
+  auto& flight = FlightRecorder::Global();
+  constexpr int kSpans = 3 * static_cast<int>(FlightRecorder::kRingSlots);
+  EnableTracing("");
+  std::thread([] {
+    for (int i = 0; i < kSpans; ++i) {
+      internal_trace::RecordSpan("archived.span", 10 * i, 10 * i + 5);
+    }
+  }).join();
+  DisableTracing();
+
+  // The trace export returns every span, in order.
+  std::vector<int64_t> starts;
+  int tid = 0;
+  for (const TraceEvent& e : SnapshotTraceEvents()) {
+    if (e.name != "archived.span") continue;
+    starts.push_back(e.start_ns);
+    tid = e.tid;
+  }
+  ASSERT_EQ(starts.size(), static_cast<size_t>(kSpans));
+  for (int i = 0; i < kSpans; ++i) ASSERT_EQ(starts[i], 10 * i) << i;
+
+  // The flight snapshot holds only the ring: the newest kRingSlots spans.
+  std::vector<FlightEvent> ring;
+  for (const FlightEvent& e : flight.Snapshot()) {
+    if (e.tid == tid) ring.push_back(e);
+  }
+  ASSERT_EQ(ring.size(), FlightRecorder::kRingSlots);
+  EXPECT_EQ(ring.front().start_ns,
+            10 * (kSpans - static_cast<int>(FlightRecorder::kRingSlots)));
+  EXPECT_EQ(ring.back().start_ns, 10 * (kSpans - 1));
+  EXPECT_EQ(ring.front().phase, FlightPhase::kNone);
+}
+
+TEST_F(FlightRecorderTest, ConcurrentSpillAndSnapshotsLoseNothingWhileTracing) {
+  auto& flight = FlightRecorder::Global();
+  constexpr int kWriters = 4;
+  constexpr int kBursts = 8;
+  constexpr int kBurstEvents = FlightRecorder::kRingSlots;
+  EnableTracing("");
+
+  // Every export must see each writer's events as a gap-free prefix: the
+  // archive plus the live ring, with no event lost or doubled by a spill
+  // running concurrently.
+  auto check_prefixes = [](const std::vector<TraceEvent>& events) {
+    std::map<int, int64_t> next_start;
+    for (const TraceEvent& e : events) {
+      const int64_t expected = next_start[e.tid];
+      ASSERT_EQ(e.start_ns, expected) << "tid " << e.tid;
+      next_start[e.tid] = expected + 10;
+    }
+  };
+  // Writers record in bursts, each released by a finished snapshot, so
+  // every snapshot overlaps a burst that spills at least once per thread.
+  std::atomic<int> snapshots{0};
+  std::atomic<int> writers_done{0};
+  std::thread reader([&] {
+    while (writers_done.load() < kWriters) {
+      check_prefixes(SnapshotTraceEvents());
+      for (const FlightEvent& event : flight.Snapshot()) {
+        ASSERT_LE(event.start_ns, event.end_ns);
+      }
+      snapshots.fetch_add(1);
+    }
+  });
+  std::vector<std::thread> writers;
+  for (int w = 0; w < kWriters; ++w) {
+    writers.emplace_back([&] {
+      int64_t t = 0;
+      for (int burst = 0; burst < kBursts; ++burst) {
+        while (snapshots.load() < burst) std::this_thread::yield();
+        for (int i = 0; i < kBurstEvents; ++i, t += 10) {
+          if (i % 4 == 0) {
+            flight.Record(FlightPhase::kSample, static_cast<uint64_t>(t + 1),
+                          1, "spill", 8, t, t + 5);
+          } else {
+            internal_trace::RecordSpan("spill.span", t, t + 5);
+          }
+        }
+      }
+      writers_done.fetch_add(1);
+    });
+  }
+  for (std::thread& writer : writers) writer.join();
+  reader.join();
+  DisableTracing();
+
+  const std::vector<TraceEvent> events = SnapshotTraceEvents();
+  EXPECT_EQ(events.size(),
+            static_cast<size_t>(kWriters) * kBursts * kBurstEvents);
+  check_prefixes(events);
+  EXPECT_EQ(flight.Snapshot().size(), kWriters * FlightRecorder::kRingSlots);
 }
 
 }  // namespace

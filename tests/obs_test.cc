@@ -1,5 +1,6 @@
 #include "obs/metrics.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
@@ -270,6 +271,46 @@ TEST_F(ObsExportTest, InitTelemetryFromArgsStripsRecognizedFlags) {
   EXPECT_STREQ(argv[1], "dataset");
   EXPECT_STREQ(argv[2], "42");
   EXPECT_EQ(MetricsExportPath(), metrics_path);
+}
+
+// Counts export-failure warnings. The exit-time flush runs after the test
+// body is gone, so the counts leave the process through its exit code.
+struct ExportFailureCounter : LogSink {
+  int metrics = 0;
+  int trace = 0;
+  void Write(const LogRecord& record) override {
+    if (record.message.find("metrics export failed") != std::string::npos) {
+      ++metrics;
+    }
+    if (record.message.find("trace export failed") != std::string::npos) {
+      ++trace;
+    }
+  }
+};
+ExportFailureCounter* g_export_failures = nullptr;
+
+void ExitWithExportFailureCounts() {
+  std::_Exit(10 * std::min(g_export_failures->metrics, 9) +
+             std::min(g_export_failures->trace, 9));
+}
+
+TEST_F(ObsExportTest, ExitFlushWritesEachExportOnce) {
+  // Both exports point at an unwritable path, so every write attempt logs
+  // one failure: exit code 11 means each export was written exactly once.
+  // The threadsafe style re-executes the binary, so no flush handler is
+  // registered before the counter's (atexit runs handlers in reverse).
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const std::string unwritable = TempPath("no_such_dir/export.json");
+  EXPECT_EXIT(
+      {
+        g_export_failures = new ExportFailureCounter();
+        SetLogSink(g_export_failures);
+        std::atexit(ExitWithExportFailureCounts);
+        SetMetricsExportPath(unwritable);
+        EnableTracing(unwritable);
+        std::exit(0);
+      },
+      ::testing::ExitedWithCode(11), "");
 }
 
 TEST_F(ObsTestEnv, LogSinkReceivesWholeLines) {

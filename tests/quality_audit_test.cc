@@ -34,7 +34,11 @@ Table ConstantTable(const Schema& schema, int rows) {
 Table NumericTable(const std::vector<std::vector<double>>& columns) {
   Schema schema;
   for (size_t c = 0; c < columns.size(); ++c) {
-    schema.AddColumn(ColumnSpec::Numeric("n" + std::to_string(c)));
+    // Appended, not `"n" + std::to_string(c)`: that form trips a GCC 12
+    // -Wrestrict false positive.
+    std::string name = "n";
+    name += std::to_string(c);
+    schema.AddColumn(ColumnSpec::Numeric(name));
   }
   return Table::FromColumns(schema, columns).Value();
 }

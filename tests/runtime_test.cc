@@ -242,23 +242,9 @@ TEST(ParallelForCostTest, LargeTotalCostFansOutOnThePool) {
   EXPECT_EQ(RegionCount(), regions_before + 1);
 }
 
-// ---- Fast (inference-only) reductions.
+// ---- Reductions.
 
-TEST(FastReductionTest, ScopeIsThreadLocalAndRestores) {
-  EXPECT_FALSE(ScopedFastReduction::Active());
-  {
-    ScopedFastReduction outer;
-    EXPECT_TRUE(ScopedFastReduction::Active());
-    {
-      ScopedFastReduction inner;
-      EXPECT_TRUE(ScopedFastReduction::Active());
-    }
-    EXPECT_TRUE(ScopedFastReduction::Active());  // nesting restores to true
-  }
-  EXPECT_FALSE(ScopedFastReduction::Active());
-}
-
-TEST(FastReductionTest, FastModeIsCloseButDeterministicModeIsExact) {
+TEST(ReductionTest, DeterministicSumIsExactAtAnyThreadCount) {
   ThreadSettingGuard guard;
   std::vector<double> values(1 << 17);
   for (size_t i = 0; i < values.size(); ++i) {
@@ -272,43 +258,26 @@ TEST(FastReductionTest, FastModeIsCloseButDeterministicModeIsExact) {
   const int64_t n = static_cast<int64_t>(values.size());
   SetNumThreads(1);
   const double exact = ParallelReduceSum(0, n, 4096, chunk_sum);
-  const double scale = std::abs(exact);
   for (int threads : {1, 2, 8}) {
     SetNumThreads(threads);
-    // Deterministic mode: bit-identical at every thread count.
+    // Bit-identical at every thread count.
     EXPECT_EQ(ParallelReduceSum(0, n, 4096, chunk_sum), exact)
-        << "threads=" << threads;
-    // Fast mode: thread-count-dependent chunking + tree combine may move
-    // low-order bits, but must stay within ~1e-9 relative of the exact sum.
-    const double fast =
-        ParallelReduceSum(0, n, 4096, chunk_sum, Reduction::kFast);
-    EXPECT_NEAR(fast, exact, 1e-9 * std::max(1.0, scale))
         << "threads=" << threads;
   }
 }
 
-TEST(FastReductionTest, MatrixReductionsHonorTheScope) {
+TEST(ReductionTest, MatrixReductionsAreExactAtAnyThreadCount) {
   ThreadSettingGuard guard;
   Rng rng(21);
-  // Above the reduction-parallel threshold so the mode actually engages.
+  // Above the reduction-parallel threshold so the parallel path engages.
   const Matrix m = Matrix::RandomNormal(256, 256, &rng);
   SetNumThreads(1);
   const double sum_exact = m.Sum();
   const double norm_exact = m.SquaredNorm();
   for (int threads : {2, 8}) {
     SetNumThreads(threads);
-    // Outside a fast scope: byte-identical to serial.
     EXPECT_EQ(m.Sum(), sum_exact) << "threads=" << threads;
     EXPECT_EQ(m.SquaredNorm(), norm_exact) << "threads=" << threads;
-    // Inside: close, and the scope must not leak out of the block.
-    {
-      ScopedFastReduction fast;
-      EXPECT_NEAR(m.Sum(), sum_exact, 1e-9 * std::max(1.0, std::abs(sum_exact)))
-          << "threads=" << threads;
-      EXPECT_NEAR(m.SquaredNorm(), norm_exact, 1e-9 * norm_exact)
-          << "threads=" << threads;
-    }
-    EXPECT_EQ(m.Sum(), sum_exact) << "threads=" << threads;
   }
 }
 

@@ -2,9 +2,9 @@
 // BENCH_*.json against one or more fresh runs of the same bench (min-of-N
 // across the candidates) with noise-aware thresholds.
 //
-//   bench_compare --baseline bench/baselines/BENCH_runtime.json \
-//                 BENCH_runtime.json [BENCH_runtime.2.json ...] \
-//                 [--rel-slack 0.15] [--abs-slack-ms 0.5] \
+//   bench_compare --baseline bench/baselines/BENCH_runtime.json
+//                 BENCH_runtime.json [BENCH_runtime.2.json ...]
+//                 [--rel-slack 0.15] [--abs-slack-ms 0.5]
 //                 [--hard-factor 2.0] [--out report.md]
 //
 // Exit codes: 0 = pass, 1 = regression(s) beyond slack, 2 = hard

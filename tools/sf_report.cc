@@ -371,8 +371,8 @@ int ServeAndReport(const Args& args, obs::ProfileReport* profile,
 }
 
 /// Rebuilds TraceEvents from an exported Chrome trace: "X" slices become
-/// spans (party recovered from the process_name metadata written by
-/// WriteTraceJson), "s"/"f" points become flow events.
+/// spans or serving phases (party recovered from the process_name metadata
+/// written by WriteTraceJson), "s"/"f" points become flow events.
 std::vector<obs::TraceEvent> TraceEventsFromJson(const json::Value& doc) {
   std::vector<obs::TraceEvent> events;
   const json::Value* list = doc.Find("traceEvents");
@@ -408,6 +408,22 @@ std::vector<obs::TraceEvent> TraceEventsFromJson(const json::Value& doc) {
       event.silo_id = static_cast<int32_t>(span_args->NumberOr("silo", -1));
       const std::string tag = span_args->StringOr("tag", "");
       if (!tag.empty()) event.tag = obs::InternTraceString(tag);
+      event.request_id =
+          static_cast<uint64_t>(span_args->NumberOr("request_id", 0));
+      event.batch_id =
+          static_cast<uint64_t>(span_args->NumberOr("batch_id", 0));
+      event.rows = static_cast<int32_t>(span_args->NumberOr("rows", 0));
+    }
+    // Serving phases ("flight" slices) are overlays BuildProfile counts
+    // whole; recover the phase from its stable name.
+    if (ph == "X" && e.StringOr("cat", "") == "flight") {
+      for (int p = 1; p <= static_cast<int>(obs::FlightPhase::kQualityBreach);
+           ++p) {
+        const auto phase = static_cast<obs::FlightPhase>(p);
+        if (event.name == obs::FlightPhaseName(phase)) {
+          event.flight_phase = phase;
+        }
+      }
     }
     events.push_back(std::move(event));
   }
