@@ -1,9 +1,15 @@
 #include "core/silofuse.h"
 
-#include <algorithm>
-#include <map>
+#include <fcntl.h>
+#include <unistd.h>
 
+#include <algorithm>
+#include <atomic>
+#include <cstdio>
 #include <fstream>
+#include <functional>
+#include <map>
+#include <string>
 
 #include "common/archive.h"
 #include "common/logging.h"
@@ -383,34 +389,71 @@ constexpr char kCheckpointMagic[] = "SILOFUSE_CKPT_V1";
 /// never look past the coordinator, new readers accept old files).
 constexpr char kReferenceStatsMagic[] = "SILOFUSE_REFSTATS";
 constexpr uint32_t kReferenceStatsVersion = 1;
+
+/// Writes a file so that readers of `path` only ever see the previous
+/// complete file or the new complete file: `write` fills a fresh temporary
+/// file in the same directory, which is flushed, fsync'ed and then renamed
+/// over `path` (rename within one file system is atomic). On any failure
+/// the temporary file is removed and `path` is left untouched.
+Status WriteFileAtomically(const std::string& path,
+                           const std::function<Status(std::ostream*)>& write) {
+  static std::atomic<uint64_t> sequence{0};
+  const std::string tmp = path + ".tmp." + std::to_string(::getpid()) + "." +
+                          std::to_string(sequence.fetch_add(1));
+  // O_EXCL: never clobber another writer's temporary; mode 0666 lets the
+  // umask decide permissions, as a plain ofstream would.
+  const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_EXCL | O_CLOEXEC,
+                        0666);
+  if (fd < 0) return Status::IOError("cannot open '" + tmp + "' for writing");
+  Status status = Status::OK();
+  {
+    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
+    if (!out) status = Status::IOError("cannot open '" + tmp + "' for writing");
+    if (status.ok()) status = write(&out);
+    if (status.ok()) {
+      out.close();  // flushes the stream buffer into the file
+      if (!out) status = Status::IOError("write to '" + tmp + "' failed");
+    }
+  }
+  if (status.ok() && ::fsync(fd) != 0) {
+    status = Status::IOError("fsync of '" + tmp + "' failed");
+  }
+  if (::close(fd) != 0 && status.ok()) {
+    status = Status::IOError("close of '" + tmp + "' failed");
+  }
+  if (status.ok() && std::rename(tmp.c_str(), path.c_str()) != 0) {
+    status = Status::IOError("cannot rename '" + tmp + "' to '" + path + "'");
+  }
+  if (!status.ok()) std::remove(tmp.c_str());
+  return status;
+}
+
 }  // namespace
 
 Status SiloFuse::SaveCheckpoint(const std::string& path) {
   if (!fitted_) {
     return Status::FailedPrecondition("cannot checkpoint an unfitted model");
   }
-  std::ofstream out(path, std::ios::binary);
-  if (!out) return Status::IOError("cannot open '" + path + "' for writing");
-  BinaryWriter writer(&out);
-  writer.WriteString(kCheckpointMagic);
-  writer.WriteI32(options_.base.inference_steps);
-  writer.WriteF64(options_.base.sampling_eta);
-  writer.WriteU64(partition_.size());
-  for (const auto& cols : partition_) {
-    writer.WriteU64(cols.size());
-    for (int c : cols) writer.WriteI32(c);
-  }
-  for (auto& client : clients_) client->autoencoder()->Save(&writer);
-  SF_RETURN_NOT_OK(coordinator_->Save(&writer));
-  if (!reference_stats_.empty()) {
-    writer.WriteString(kReferenceStatsMagic);
-    writer.WriteU32(kReferenceStatsVersion);
-    reference_stats_.Save(&writer);
-  }
-  if (!writer.ok() || !out) {
-    return Status::IOError("write to '" + path + "' failed");
-  }
-  return Status::OK();
+  return WriteFileAtomically(path, [&](std::ostream* out) -> Status {
+    BinaryWriter writer(out);
+    writer.WriteString(kCheckpointMagic);
+    writer.WriteI32(options_.base.inference_steps);
+    writer.WriteF64(options_.base.sampling_eta);
+    writer.WriteU64(partition_.size());
+    for (const auto& cols : partition_) {
+      writer.WriteU64(cols.size());
+      for (int c : cols) writer.WriteI32(c);
+    }
+    for (auto& client : clients_) client->autoencoder()->Save(&writer);
+    SF_RETURN_NOT_OK(coordinator_->Save(&writer));
+    if (!reference_stats_.empty()) {
+      writer.WriteString(kReferenceStatsMagic);
+      writer.WriteU32(kReferenceStatsVersion);
+      reference_stats_.Save(&writer);
+    }
+    if (!writer.ok()) return Status::IOError("write to '" + path + "' failed");
+    return Status::OK();
+  });
 }
 
 Result<std::unique_ptr<SiloFuse>> SiloFuse::LoadCheckpoint(

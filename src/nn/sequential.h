@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "nn/activations.h"
+#include "nn/dropout.h"
 #include "nn/linear.h"
 #include "nn/module.h"
 
@@ -41,26 +42,36 @@ class Sequential : public Module {
   }
 
   Matrix Forward(const Matrix& input, bool training) override {
-    Matrix x = input;
+    // `cur` starts at the caller's input, so the chain makes no entry copy:
+    // the first module reads `input` in place and every later one reads the
+    // previous module's output.
+    const Matrix* cur = &input;
+    Matrix x;
     for (size_t i = 0; i < modules_.size(); ++i) {
-      // Inference peephole: a Linear immediately followed by a Gelu runs as
-      // one fused GEMM (bias + FastTanh-GELU in the epilogue), skipping the
-      // intermediate matrix. Inference Gelu keeps no state, so skipping its
-      // Forward is observationally identical; the fused epilogue applies the
-      // same scalar chain, so the bytes are too. Training always runs the
-      // unfused modules — Backward needs their caches, and training
-      // numerics must not depend on fusion.
-      if (!training && i + 1 < modules_.size()) {
+      if (!training) {
+        // Inference Dropout is the identity; its Forward would only copy.
+        if (dynamic_cast<Dropout*>(modules_[i].get()) != nullptr) continue;
+        // Inference peephole: a Linear immediately followed by a Gelu runs
+        // as one fused GEMM (bias + FastTanh-GELU in the epilogue), skipping
+        // the intermediate matrix. Inference Gelu keeps no state, so
+        // skipping its Forward is observationally identical; the fused
+        // epilogue applies the same scalar chain, so the bytes are too.
+        // Training always runs the unfused modules — Backward needs their
+        // caches, and training numerics must not depend on fusion.
         auto* linear = dynamic_cast<Linear*>(modules_[i].get());
-        if (linear != nullptr &&
+        if (linear != nullptr && i + 1 < modules_.size() &&
             dynamic_cast<Gelu*>(modules_[i + 1].get()) != nullptr) {
-          x = linear->ForwardFusedGelu(x);
+          x = linear->ForwardFusedGelu(*cur);
+          cur = &x;
           ++i;
           continue;
         }
       }
-      x = modules_[i]->Forward(x, training);
+      x = modules_[i]->Forward(*cur, training);
+      cur = &x;
     }
+    // An empty (or all-Dropout) chain at inference is the identity.
+    if (cur == &input) return input;
     return x;
   }
 

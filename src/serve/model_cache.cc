@@ -15,6 +15,7 @@ struct CacheMetrics {
   obs::Counter* misses;
   obs::Counter* evictions;
   obs::Counter* reloads;
+  obs::Counter* reload_failures;
   obs::Gauge* loaded;
 };
 
@@ -26,31 +27,22 @@ const CacheMetrics& Metrics() {
     m.misses = registry.GetCounter("serve.cache.misses");
     m.evictions = registry.GetCounter("serve.cache.evictions");
     m.reloads = registry.GetCounter("serve.cache.reloads");
+    m.reload_failures = registry.GetCounter("serve.cache.reload_failures");
     m.loaded = registry.GetGauge("serve.cache.loaded");
     return m;
   }();
   return metrics;
 }
 
-/// Checkpoint generation: (mtime ns, size). A rewritten checkpoint changes
-/// at least one of the two; both unreadable -> {-1, -1}, which never
-/// matches a successful load's generation, so a vanished file triggers a
-/// reload attempt (and a clean error) rather than serving stale forever.
-bool StatGeneration(const std::string& path, int64_t* mtime_ns,
-                    int64_t* size_bytes) {
-  struct stat st;
-  if (::stat(path.c_str(), &st) != 0) {
-    *mtime_ns = -1;
-    *size_bytes = -1;
-    return false;
-  }
-  *mtime_ns =
-      static_cast<int64_t>(st.st_mtim.tv_sec) * 1000000000 + st.st_mtim.tv_nsec;
-  *size_bytes = static_cast<int64_t>(st.st_size);
-  return true;
-}
-
 }  // namespace
+
+ModelCache::Generation ModelCache::StatGeneration(const std::string& path) {
+  struct stat st;
+  if (::stat(path.c_str(), &st) != 0) return Generation{};
+  return Generation{
+      static_cast<int64_t>(st.st_mtim.tv_sec) * 1000000000 + st.st_mtim.tv_nsec,
+      static_cast<int64_t>(st.st_size)};
+}
 
 ModelCache::ModelCache(ModelCacheOptions options) : options_(options) {
   if (options_.capacity < 1) options_.capacity = 1;
@@ -84,14 +76,15 @@ Result<std::shared_ptr<SiloFuse>> ModelCache::Get(const std::string& name) {
       loaded_cv_.wait(lock);
       continue;
     }
-    int64_t mtime_ns = -1;
-    int64_t size_bytes = -1;
+    Generation generation;
     const bool resident = entry.model != nullptr;
     bool stale = false;
     if (!resident || options_.hot_reload) {
-      StatGeneration(entry.path, &mtime_ns, &size_bytes);
-      stale = resident && (mtime_ns != entry.mtime_ns ||
-                           size_bytes != entry.size_bytes);
+      generation = StatGeneration(entry.path);
+      // A file whose reload already failed stays unparsed until it changes
+      // again; the resident model keeps serving meanwhile.
+      stale = resident && generation != entry.generation &&
+              generation != entry.failed;
     }
     if (resident && !stale) {
       entry.last_use = ++use_tick_;
@@ -122,9 +115,18 @@ Result<std::shared_ptr<SiloFuse>> ModelCache::Get(const std::string& name) {
     target.loading = false;
     loaded_cv_.notify_all();
     if (!loaded.ok()) {
-      return Status(loaded.status().code(),
-                    "loading deployment '" + name + "' from '" + path +
-                        "': " + loaded.status().message());
+      const std::string message = "loading deployment '" + name + "' from '" +
+                                  path + "': " + loaded.status().message();
+      if (target.model == nullptr) {
+        return Status(loaded.status().code(), message);
+      }
+      // Failed hot reload: keep serving the last good model.
+      target.failed = generation;
+      target.last_use = ++use_tick_;
+      metrics.reload_failures->Increment();
+      SF_LOG(Warning) << "serve: " << message << "; still serving the "
+                      << "previously loaded model";
+      return target.model;
     }
     if (stale) {
       metrics.reloads->Increment();
@@ -136,8 +138,8 @@ Result<std::shared_ptr<SiloFuse>> ModelCache::Get(const std::string& name) {
     // Atomic swap: in-flight batches holding the old shared_ptr drain on
     // the old model; everyone after this point sees the new one.
     target.model = std::shared_ptr<SiloFuse>(std::move(loaded).Value());
-    target.mtime_ns = mtime_ns;
-    target.size_bytes = size_bytes;
+    target.generation = generation;
+    target.failed.reset();
     target.last_use = ++use_tick_;
     EvictIfNeededLocked();
     metrics.loaded->Set(static_cast<double>(LoadedCountLocked()));
@@ -185,8 +187,7 @@ void ModelCache::EvictIfNeededLocked() {
     }
     if (loaded <= options_.capacity || lru == entries_.end()) return;
     lru->second.model.reset();  // registration (path) survives eviction
-    lru->second.mtime_ns = -1;
-    lru->second.size_bytes = -1;
+    lru->second.generation = Generation{};
     Metrics().evictions->Increment();
   }
 }

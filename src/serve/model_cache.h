@@ -6,6 +6,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -36,8 +37,13 @@ struct ModelCacheOptions {
 /// the cache lock: in-flight batches keep their shared_ptr and drain on the
 /// old model, new batches pick up the new one.
 ///
-/// Counters: serve.cache.{hits,misses,evictions,reloads} and gauge
-/// serve.cache.loaded.
+/// A failed hot reload keeps the last good model: Get() keeps serving the
+/// resident generation and remembers the failed file's (mtime, size), so
+/// the bad file is parsed once, not once per request; the next change to
+/// the file triggers a fresh reload attempt.
+///
+/// Counters: serve.cache.{hits,misses,evictions,reloads,reload_failures}
+/// and gauge serve.cache.loaded.
 class ModelCache {
  public:
   explicit ModelCache(ModelCacheOptions options = {});
@@ -51,8 +57,9 @@ class ModelCache {
   Status Register(const std::string& name, const std::string& checkpoint_path);
 
   /// Returns the deployment's model, loading or hot-reloading as needed.
-  /// kNotFound for unregistered names; load failures surface the
-  /// LoadCheckpoint status (and are retried on the next Get).
+  /// kNotFound for unregistered names; a failed first load surfaces the
+  /// LoadCheckpoint status (and is retried on the next Get), while a failed
+  /// reload of a resident model returns the resident model.
   Result<std::shared_ptr<SiloFuse>> Get(const std::string& name);
 
   /// True when `name` has been registered (no load, no residency check).
@@ -74,11 +81,24 @@ class ModelCache {
   }
 
  private:
+  /// Checkpoint file generation: (mtime ns, size). A rewritten checkpoint
+  /// changes at least one of the two. An unreadable file reads {-1, -1},
+  /// which never matches a successful load's generation, so a vanished file
+  /// triggers a reload attempt rather than being silently ignored.
+  struct Generation {
+    int64_t mtime_ns = -1;
+    int64_t size_bytes = -1;
+    bool operator==(const Generation&) const = default;
+  };
+  static Generation StatGeneration(const std::string& path);
+
   struct Entry {
     std::string path;
     std::shared_ptr<SiloFuse> model;  // null until first Get / after evict
-    int64_t mtime_ns = -1;            // generation of the resident load
-    int64_t size_bytes = -1;
+    Generation generation;            // of the resident load
+    // Last reload that failed to parse. Read only while `model` is
+    // resident; every successful load clears it.
+    std::optional<Generation> failed;
     uint64_t last_use = 0;
     bool loading = false;  // single-flight latch
   };

@@ -55,34 +55,64 @@ inline float LoadB(const float* b, int ldb, bool trans_b, int kk, int j) {
                  : b[static_cast<size_t>(kk) * ldb + j];
 }
 
-// Per-element epilogue shared by every path: alpha/beta combine (C is not
-// read when beta == 0, so uninitialized output storage is fine), bias add,
-// optional fused inference GELU. One fixed expression -> one rounding
-// sequence everywhere.
-inline float Finalize(float acc, const float* c_elem, float alpha, float beta,
-                      const float* bias, int j, GemmActivation act) {
-  float v = beta == 0.0f ? alpha * acc : std::fma(alpha, acc, beta * *c_elem);
-  if (bias != nullptr) v += bias[j];
-  if (act == GemmActivation::kGeluFast) v = fastmath::GeluFast(v);
-  return v;
+#if defined(__GNUC__) && !defined(__clang__)
+#define SF_EPILOGUE_ATTR __attribute__((noinline, noclone))
+#elif defined(__clang__)
+#define SF_EPILOGUE_ATTR __attribute__((noinline))
+#else
+#define SF_EPILOGUE_ATTR
+#endif
+
+// Row epilogue shared by every path: writes c[0, w) from the raw ascending-k
+// accumulators acc[0, w). Three branch-free passes, each a plain vectorizable
+// loop: alpha/beta combine (C is not read when beta == 0, so uninitialized
+// output storage is fine), bias add, optional fused inference GELU.
+//
+// Deliberately one out-of-line body. GCC compiles this code with
+// -ffp-contract=fast, so whether `alpha * acc` and `+ bias` fuse into one fma
+// depends on the loop they are inlined into; a single compiled body gives
+// the direct (reference) and packed paths one rounding sequence by
+// construction. noclone keeps IPA from specializing it per call site.
+SF_EPILOGUE_ATTR void EpilogueRow(const float* SF_RESTRICT acc,
+                                  float* SF_RESTRICT c, int w, float alpha,
+                                  float beta, const float* SF_RESTRICT bias,
+                                  GemmActivation act) {
+  if (beta == 0.0f) {
+    for (int j = 0; j < w; ++j) c[j] = alpha * acc[j];
+  } else {
+    for (int j = 0; j < w; ++j) c[j] = std::fma(alpha, acc[j], beta * c[j]);
+  }
+  if (bias != nullptr) {
+    for (int j = 0; j < w; ++j) c[j] += bias[j];
+  }
+  if (act == GemmActivation::kGeluFast) {
+    for (int j = 0; j < w; ++j) c[j] = fastmath::GeluFast(c[j]);
+  }
 }
 
-// Direct per-element loop: the reference semantics, used both as GemmRef
-// and as the small-problem path of Gemm (for tiny shapes it IS the fastest
+// Direct loop: the reference semantics, used both as GemmRef and as the
+// small-problem path of Gemm (for tiny shapes it IS the fastest
 // implementation, and sharing the code makes small-path equivalence true by
-// construction).
+// construction). Columns run in kNr-wide stack blocks so every output row
+// segment goes through EpilogueRow exactly as a packed tile row does; each
+// acc[jj] is still one fma chain over k in ascending order.
 void GemmDirect(bool trans_a, bool trans_b, int m, int n, int k, float alpha,
                 const float* a, int lda, const float* b, int ldb, float beta,
                 float* c, int ldc, const float* bias, GemmActivation act) {
+  float acc[kNr] = {};
   for (int i = 0; i < m; ++i) {
     float* c_row = c + static_cast<size_t>(i) * ldc;
-    for (int j = 0; j < n; ++j) {
-      float acc = 0.0f;
+    for (int j0 = 0; j0 < n; j0 += kNr) {
+      const int w = std::min(kNr, n - j0);
+      for (int jj = 0; jj < w; ++jj) acc[jj] = 0.0f;
       for (int kk = 0; kk < k; ++kk) {
-        acc = std::fma(LoadA(a, lda, trans_a, i, kk),
-                       LoadB(b, ldb, trans_b, kk, j), acc);
+        const float av = LoadA(a, lda, trans_a, i, kk);
+        for (int jj = 0; jj < w; ++jj) {
+          acc[jj] = std::fma(av, LoadB(b, ldb, trans_b, kk, j0 + jj), acc[jj]);
+        }
       }
-      c_row[j] = Finalize(acc, c_row + j, alpha, beta, bias, j, act);
+      EpilogueRow(acc, c_row + j0, w, alpha, beta,
+                  bias != nullptr ? bias + j0 : nullptr, act);
     }
   }
 }
@@ -157,7 +187,7 @@ void PackARows(const float* a, int lda, bool trans_a, int k, int i0, int i1,
 // --- Microkernel -----------------------------------------------------------
 //
 // Computes the raw kMr x kNr accumulator tile for one packed-A tile against
-// one packed-B panel; the caller applies Finalize on the real (unpadded)
+// one packed-B panel; the caller applies EpilogueRow on the real (unpadded)
 // lanes. Both variants accumulate each output element over k in ascending
 // order with exactly-rounded fma, so their results are bit-identical: the
 // AVX2 version just runs 16 independent chains per row in SIMD lanes.
@@ -248,12 +278,9 @@ void GemmPacked(bool trans_a, bool trans_b, int m, int n, int k, float alpha,
         const int base = i0 + t * kMr;
         const int rn = std::min(kMr, i1 - base);
         for (int r = 0; r < rn; ++r) {
-          float* c_row = c + static_cast<size_t>(base + r) * ldc + j0;
-          const float* acc_row = acc + static_cast<size_t>(r) * kNr;
-          for (int jj = 0; jj < jn; ++jj) {
-            c_row[jj] = Finalize(acc_row[jj], c_row + jj, alpha, beta, bias,
-                                 j0 + jj, act);
-          }
+          EpilogueRow(acc + static_cast<size_t>(r) * kNr,
+                      c + static_cast<size_t>(base + r) * ldc + j0, jn, alpha,
+                      beta, bias != nullptr ? bias + j0 : nullptr, act);
         }
       }
     }

@@ -27,7 +27,10 @@ enum class GemmActivation { kNone, kGeluFast };
 ///   v     += bias[j]                         (if bias)
 ///   v      = GeluFast(v)                     (if act == kGeluFast)
 ///
-/// computed with exactly-rounded std::fma. Because the per-element chain is
+/// computed with exactly-rounded std::fma. The epilogue lines are one
+/// compiled body shared by every path (the build contracts floating-point
+/// expressions, so a per-path copy could round differently; see
+/// tensor/gemm.cc). Because the per-element chain is
 /// fixed, the bytes of C are independent of: the SIMD vs scalar code path
 /// (8 independent chains ride the AVX2 lanes, each still ascending in k),
 /// panel packing, register-tile grouping, pool chunk boundaries, thread

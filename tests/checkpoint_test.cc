@@ -2,13 +2,20 @@
 // component Save/Load, and full SiloFuse checkpoint restore (synthesis from
 // a reloaded model must be schema-correct and deterministic given a seed).
 
+#include <sys/resource.h>
+#include <unistd.h>
+
+#include <algorithm>
 #include <atomic>
+#include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <new>
+#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <sstream>
+#include <string>
 #include <thread>
 
 #include <gtest/gtest.h>
@@ -389,6 +396,74 @@ TEST_F(SiloFuseCheckpointTest, PreReferenceStatsCheckpointStillLoads) {
   auto synth = restored.Value()->Synthesize(20, &synth_rng);
   ASSERT_TRUE(synth.ok()) << synth.status().ToString();
   EXPECT_TRUE(synth.Value().schema() == data.schema());
+}
+
+std::vector<std::string> DirectoryEntries(const std::string& dir) {
+  std::vector<std::string> names;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    names.push_back(entry.path().filename().string());
+  }
+  std::sort(names.begin(), names.end());
+  return names;
+}
+
+std::string FileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  return buffer.str();
+}
+
+// SaveCheckpoint goes through a temporary file that is fsync'ed and renamed
+// over the target, so a hot-reloading reader never sees a half-written
+// checkpoint and a failed save never damages the previous one.
+TEST_F(SiloFuseCheckpointTest, SaveIsAtomicAndLeavesNoTemporaryFile) {
+  const std::string dir =
+      ::testing::TempDir() + "/atomic_save_" + std::to_string(::getpid());
+  std::filesystem::remove_all(dir);
+  ASSERT_TRUE(std::filesystem::create_directories(dir));
+  const std::string path = dir + "/model.ckpt";
+  Table data = GeneratePaperDataset("loan", 200, 12).Value();
+  SiloFuseOptions options;
+  options.base.autoencoder.hidden_dim = 32;
+  options.base.autoencoder_steps = 20;
+  options.base.diffusion_train_steps = 20;
+  options.base.batch_size = 64;
+  options.base.diffusion.hidden_dim = 32;
+  options.base.diffusion.num_layers = 3;
+  options.partition.num_clients = 2;
+  SiloFuse model(options);
+  Rng rng(13);
+  ASSERT_TRUE(model.Fit(data, &rng).ok());
+  ASSERT_TRUE(model.SaveCheckpoint(path).ok());
+  EXPECT_EQ(DirectoryEntries(dir), std::vector<std::string>{"model.ckpt"});
+  const std::string saved = FileBytes(path);
+  ASSERT_GT(saved.size(), 1024u);
+
+  // Fail the next save half way through its write: with the file-size limit
+  // below the checkpoint size, write(2) returns EFBIG (SIGXFSZ ignored). An
+  // in-place writer would leave a truncated target behind.
+  struct rlimit limit = {};
+  ASSERT_EQ(::getrlimit(RLIMIT_FSIZE, &limit), 0);
+  const struct rlimit unlimited = limit;
+  ASSERT_TRUE(limit.rlim_max == RLIM_INFINITY ||
+              limit.rlim_max > saved.size() / 2);
+  limit.rlim_cur = saved.size() / 2;
+  auto previous_handler = std::signal(SIGXFSZ, SIG_IGN);
+  ASSERT_EQ(::setrlimit(RLIMIT_FSIZE, &limit), 0);
+  const Status failed = model.SaveCheckpoint(path);
+  ASSERT_EQ(::setrlimit(RLIMIT_FSIZE, &unlimited), 0);
+  std::signal(SIGXFSZ, previous_handler);
+  EXPECT_EQ(failed.code(), StatusCode::kIOError) << failed.ToString();
+  EXPECT_TRUE(FileBytes(path) == saved) << "checkpoint bytes changed";
+  EXPECT_EQ(DirectoryEntries(dir), std::vector<std::string>{"model.ckpt"});
+
+  // A save after the failure succeeds and still leaves a single file.
+  ASSERT_TRUE(model.SaveCheckpoint(path).ok());
+  EXPECT_TRUE(FileBytes(path) == saved) << "checkpoint bytes changed";
+  EXPECT_EQ(DirectoryEntries(dir), std::vector<std::string>{"model.ckpt"});
+  EXPECT_TRUE(SiloFuse::LoadCheckpoint(path).ok());
+  std::filesystem::remove_all(dir);
 }
 
 TEST_F(SiloFuseCheckpointTest, UnfittedModelCannotBeSaved) {

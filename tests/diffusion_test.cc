@@ -1,10 +1,12 @@
 #include <cmath>
+#include <cstring>
 
 #include <gtest/gtest.h>
 
 #include "diffusion/gaussian_ddpm.h"
 #include "diffusion/schedule.h"
 #include "diffusion/time_embedding.h"
+#include "runtime/parallel_for.h"
 
 namespace silofuse {
 namespace {
@@ -183,6 +185,47 @@ TEST(GaussianDdpmTest, DeterministicDdimSamplingIsReproducible) {
   Matrix a = ddpm.Sample(10, 10, &rng_a, /*eta=*/0.0);
   Matrix b = ddpm.Sample(10, 10, &rng_b, /*eta=*/0.0);
   EXPECT_EQ(a, b);
+}
+
+bool BytesEqual(const Matrix& a, const Matrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+// The inference forward reuses per-thread GEMM packing buffers and skips
+// inference Dropout; neither may leak state between calls or depend on the
+// thread count. Interleaving a bulk block, a serving-sized block and the
+// bulk block again (so every buffer shrinks and regrows) must reproduce the
+// same bytes as the same calls at another thread count, and a repeated
+// call must reproduce its first run.
+TEST(GaussianDdpmTest, SampleBytesIndependentOfThreadsAndCallOrder) {
+  const int saved_threads = NumThreads();
+  Rng init(8);
+  GaussianDdpmConfig config;
+  config.data_dim = 6;
+  config.hidden_dim = 64;
+  config.num_layers = 8;  // the paper's backbone depth, Dropout included
+  GaussianDdpm ddpm(config, &init);
+  ASSERT_GT(config.dropout, 0.0f);
+  constexpr int kSteps = 6;
+  const auto sample = [&ddpm](int rows, uint64_t seed) {
+    Rng rng(seed);
+    return ddpm.Sample(rows, kSteps, &rng, /*eta=*/1.0);
+  };
+
+  SetNumThreads(1);
+  const Matrix bulk = sample(4096, 21);
+  const Matrix small = sample(8, 22);
+  const Matrix bulk_again = sample(4096, 21);
+  EXPECT_TRUE(BytesEqual(bulk_again, bulk));
+  EXPECT_TRUE(bulk.AllFinite());
+
+  SetNumThreads(8);
+  // Serving-sized first this time, so it runs on fresh buffers.
+  EXPECT_TRUE(BytesEqual(sample(8, 22), small));
+  EXPECT_TRUE(BytesEqual(sample(4096, 21), bulk));
+  EXPECT_TRUE(BytesEqual(sample(8, 22), small));
+  SetNumThreads(saved_threads);
 }
 
 TEST(GaussianDdpmTest, BackwardBackboneReturnsDataDimGradient) {

@@ -16,6 +16,7 @@
 
 #include "nn/activations.h"
 #include "nn/conv1d.h"
+#include "nn/dropout.h"
 #include "nn/layer_norm.h"
 #include "nn/linear.h"
 #include "nn/module.h"
@@ -333,34 +334,101 @@ TEST(FusedPathTest, TrainingGradientsByteIdenticalAcrossThreads) {
 
 // The Sequential inference peephole (fused linear+bias+gelu GEMM) must
 // produce the same bytes as running the modules unfused, at any thread
-// count — including shapes with register-tile remainders.
+// count: on a shape with register-tile remainders in both dimensions, and
+// on the diffusion backbone's own layers — the 256 -> 256 hidden layer at
+// batch sizes from one serving row to a bulk block (M = 1 and 4 take the
+// direct GEMM path, the rest the packed one), and the (data_dim + 32) ->
+// 256 input projection.
 TEST(FusedPathTest, FusedLinearGeluInferenceMatchesUnfusedBytes) {
   ThreadSettingGuard guard;
-  Rng rng(33);
-  Linear linear(37, 29, &rng);  // remainder panels in both dimensions
-  Gelu gelu;
-  const Matrix input = Matrix::RandomNormal(23, 37, &rng);
-  for (int threads : {1, 8}) {
-    SetNumThreads(threads);
-    const Matrix unfused =
-        gelu.Forward(linear.Forward(input, /*training=*/false), false);
-    const Matrix fused = linear.ForwardFusedGelu(input);
-    EXPECT_TRUE(BytesEqual(fused, unfused)) << "threads=" << threads;
+  struct Shape {
+    int in, out, rows;
+  };
+  constexpr int kDataDim = 12;
+  const Shape shapes[] = {{37, 29, 23},          {256, 256, 1},
+                          {256, 256, 4},         {256, 256, 8},
+                          {256, 256, 13},        {256, 256, 517},
+                          {kDataDim + 32, 256, 1}, {kDataDim + 32, 256, 517}};
+  for (const Shape& shape : shapes) {
+    Rng rng(33 + shape.rows);
+    Linear linear(shape.in, shape.out, &rng);
+    Gelu gelu;
+    const Matrix input = Matrix::RandomNormal(shape.rows, shape.in, &rng);
+    for (int threads : {1, 8}) {
+      SetNumThreads(threads);
+      const std::string where = "in=" + std::to_string(shape.in) +
+                                " out=" + std::to_string(shape.out) +
+                                " rows=" + std::to_string(shape.rows) +
+                                " threads=" + std::to_string(threads);
+      const Matrix unfused =
+          gelu.Forward(linear.Forward(input, /*training=*/false), false);
+      const Matrix fused = linear.ForwardFusedGelu(input);
+      EXPECT_TRUE(BytesEqual(fused, unfused)) << where;
 
-    // And through Sequential, whose peephole triggers the fusion.
-    Rng net_rng(34);
-    Sequential net;
-    net.Emplace<Linear>(37, 29, &net_rng);
-    net.Emplace<Gelu>();
-    auto* seq_linear = dynamic_cast<Linear*>(net.module(0));
-    ASSERT_NE(seq_linear, nullptr);
-    auto* seq_gelu = dynamic_cast<Gelu*>(net.module(1));
-    ASSERT_NE(seq_gelu, nullptr);
-    const Matrix via_net = net.Forward(input, /*training=*/false);
-    const Matrix via_modules = seq_gelu->Forward(
-        seq_linear->Forward(input, /*training=*/false), false);
-    EXPECT_TRUE(BytesEqual(via_net, via_modules)) << "threads=" << threads;
+      // And through Sequential, whose peephole triggers the fusion.
+      Rng net_rng(34);
+      Sequential net;
+      net.Emplace<Linear>(shape.in, shape.out, &net_rng);
+      net.Emplace<Gelu>();
+      auto* seq_linear = dynamic_cast<Linear*>(net.module(0));
+      ASSERT_NE(seq_linear, nullptr);
+      auto* seq_gelu = dynamic_cast<Gelu*>(net.module(1));
+      ASSERT_NE(seq_gelu, nullptr);
+      const Matrix via_net = net.Forward(input, /*training=*/false);
+      const Matrix via_modules = seq_gelu->Forward(
+          seq_linear->Forward(input, /*training=*/false), false);
+      EXPECT_TRUE(BytesEqual(via_net, via_modules)) << where;
+    }
   }
+}
+
+// Inference Sequential skips Dropout (the identity at inference) and reads
+// its input in place; the result must equal calling every module's own
+// inference Forward in order, Dropouts included, nested residual blocks
+// included — the diffusion backbone's layout.
+TEST(FusedPathTest, InferenceSequentialWithDropoutMatchesModuleChain) {
+  Rng rng(36);
+  Rng dropout_rng(37);
+  Sequential net;
+  net.Emplace<Linear>(10, 24, &rng);
+  net.Emplace<Gelu>();
+  net.Emplace<Dropout>(0.3f, &dropout_rng);
+  auto block = std::make_unique<Sequential>();
+  block->Emplace<Linear>(24, 24, &rng);
+  block->Emplace<Gelu>();
+  block->Emplace<Dropout>(0.3f, &dropout_rng);
+  auto* block_ptr = block.get();
+  net.Emplace<Residual>(std::move(block));
+  net.Emplace<Dropout>(0.3f, &dropout_rng);
+  net.Emplace<Linear>(24, 5, &rng);
+  ASSERT_EQ(net.size(), 6u);
+
+  const Matrix input = Matrix::RandomNormal(9, 10, &rng);
+  Matrix chain = input;
+  for (size_t i = 0; i < net.size(); ++i) {
+    if (i == 3) {
+      // The residual block, unrolled module by module.
+      Matrix inner = chain;
+      for (size_t j = 0; j < block_ptr->size(); ++j) {
+        inner = block_ptr->module(j)->Forward(inner, /*training=*/false);
+      }
+      inner.AddInPlace(chain);
+      chain = inner;
+      continue;
+    }
+    chain = net.module(i)->Forward(chain, /*training=*/false);
+  }
+  const Matrix input_before = input;
+  EXPECT_TRUE(BytesEqual(net.Forward(input, /*training=*/false), chain));
+  // The input is read in place, never written.
+  EXPECT_TRUE(BytesEqual(input, input_before));
+
+  // Chains that reduce to the identity at inference return the input.
+  Sequential empty;
+  EXPECT_TRUE(BytesEqual(empty.Forward(input, false), input));
+  Sequential only_dropout;
+  only_dropout.Emplace<Dropout>(0.5f, &dropout_rng);
+  EXPECT_TRUE(BytesEqual(only_dropout.Forward(input, false), input));
 }
 
 // LayerNorm's inference forward skips the caches but must emit the exact

@@ -7,6 +7,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <future>
 #include <sstream>
@@ -365,6 +366,65 @@ TEST_F(ServeTest, CacheHotReloadsWhenCheckpointChanges) {
   // The drained handle from before the swap still works.
   Rng old_rng(3);
   EXPECT_TRUE(before.Value()->Synthesize(5, &old_rng).ok());
+  std::remove(path.c_str());
+}
+
+TEST_F(ServeTest, CacheKeepsLastGoodModelWhenReloadFails) {
+  const std::string path = ::testing::TempDir() + "/serve_bad_reload.ckpt";
+  ASSERT_TRUE(model_->SaveCheckpoint(path).ok());
+  std::string good_bytes;
+  {
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream buffer;
+    buffer << in.rdbuf();
+    good_bytes = buffer.str();
+  }
+  ASSERT_GT(good_bytes.size(), 16u);
+  ModelCache cache;
+  ASSERT_TRUE(cache.Register("live", path).ok());
+  auto before = cache.Get("live");
+  ASSERT_TRUE(before.ok()) << before.status().ToString();
+  Rng before_rng(21);
+  const Table expected = before.Value()->Synthesize(7, &before_rng).Value();
+
+  // Overwrite the checkpoint with a truncated copy (a half-written file).
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(good_bytes.data(),
+              static_cast<std::streamsize>(good_bytes.size() / 2));
+  }
+  obs::Counter* failures = obs::MetricsRegistry::Global().GetCounter(
+      "serve.cache.reload_failures");
+  obs::Counter* reloads =
+      obs::MetricsRegistry::Global().GetCounter("serve.cache.reloads");
+  const int64_t failures_base = failures->Value();
+  const int64_t reloads_base = reloads->Value();
+  for (int i = 0; i < 10; ++i) {
+    auto served = cache.Get("live");
+    ASSERT_TRUE(served.ok()) << "request " << i << ": "
+                             << served.status().ToString();
+    EXPECT_EQ(served.Value().get(), before.Value().get());
+    Rng rng(21);
+    ExpectTablesEqual(served.Value()->Synthesize(7, &rng).Value(), expected);
+  }
+  // The bad file was parsed once, not once per request.
+  EXPECT_EQ(failures->Value(), failures_base + 1);
+  EXPECT_EQ(reloads->Value(), reloads_base);
+
+  // A later valid rewrite (new mtime) reloads.
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(good_bytes.data(), static_cast<std::streamsize>(good_bytes.size()));
+  }
+  std::filesystem::last_write_time(
+      path, std::filesystem::last_write_time(path) + std::chrono::seconds(1));
+  auto after = cache.Get("live");
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+  EXPECT_NE(after.Value().get(), before.Value().get());
+  EXPECT_EQ(reloads->Value(), reloads_base + 1);
+  EXPECT_EQ(failures->Value(), failures_base + 1);
+  Rng after_rng(21);
+  ExpectTablesEqual(after.Value()->Synthesize(7, &after_rng).Value(), expected);
   std::remove(path.c_str());
 }
 
