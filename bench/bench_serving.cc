@@ -33,12 +33,11 @@
 //                       scoring must also stay within the 2-point
 //                       overhead_pct gate.
 //   "introspect_overhead" - same A/B for the live introspection plane
-//                       (src/obs/expose + timeseries): the on-side server
-//                       runs the /metrics endpoint, a 10 ms time-series
-//                       sampler, AND a client hammering /metrics scrapes
-//                       throughout its bursts — worse than any real scrape
-//                       cadence — and must stay within the same 2-point
-//                       overhead_pct gate.
+//                       (src/obs/expose): the on-side server runs the
+//                       /metrics endpoint AND a client scraping /metrics
+//                       every 100 ms throughout its bursts — hotter than
+//                       any real scrape cadence — and must stay within the
+//                       same 2-point overhead_pct gate.
 //
 // Flags: --smoke shrinks training and request counts for CI. Honors
 // SILOFUSE_BENCH_SCALE for the training budget and --metrics-out /
@@ -389,9 +388,8 @@ struct IntrospectOverheadResult {
 };
 
 // Same two-server best-of-N A/B as the audit probe, for the introspection
-// plane. The on-side server runs the /metrics endpoint plus a deliberately
-// aggressive 10 ms time-series sampler, and during each of its bursts a
-// scraper thread fetches /metrics back-to-back — far hotter than any real
+// plane. The on-side server runs the /metrics endpoint, and during each of
+// its bursts a scraper thread fetches /metrics — far hotter than any real
 // Prometheus cadence, so the gate bounds the realistic cost from above.
 // The scraper only runs during on-bursts: an always-on scraper would burn a
 // core during the off-bursts too and mask the very overhead being measured.
@@ -404,13 +402,11 @@ IntrospectOverheadResult MeasureIntrospectOverhead(
   ServeOptions introspected = plain;
   introspected.enable_introspection = true;
   introspected.introspection_port = 0;  // ephemeral
-  // 100 ms sampler (what sf_report --introspect uses) and a 100 ms scrape
-  // cadence: 10 scrapes/s is still an order of magnitude hotter than the
-  // fastest common Prometheus interval, while yielding the CPU between
-  // scrapes so the measurement reflects endpoint cost, not a busy-looping
-  // client starving the synthesis threads (this bench also runs on 1-core
-  // CI machines).
-  introspected.introspection_sample_period_ns = 100LL * 1000 * 1000;
+  // A 100 ms scrape cadence: 10 scrapes/s is still an order of magnitude
+  // hotter than the fastest common Prometheus interval, while yielding the
+  // CPU between scrapes so the measurement reflects endpoint cost, not a
+  // busy-looping client starving the synthesis threads (this bench also
+  // runs on 1-core CI machines).
 
   SynthesisServer off_server(plain);
   SynthesisServer on_server(introspected);

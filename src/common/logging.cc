@@ -5,12 +5,14 @@
 #include <iostream>
 #include <mutex>
 
+#include "common/env.h"
+
 namespace silofuse {
 namespace {
 
 LogLevel InitialLevel() {
-  if (std::getenv("SILOFUSE_QUIET") != nullptr) return LogLevel::kWarning;
-  if (std::getenv("SILOFUSE_VERBOSE") != nullptr) return LogLevel::kDebug;
+  if (EnvFlag("SILOFUSE_QUIET", false)) return LogLevel::kWarning;
+  if (EnvFlag("SILOFUSE_VERBOSE", false)) return LogLevel::kDebug;
   return LogLevel::kInfo;
 }
 

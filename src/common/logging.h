@@ -13,8 +13,8 @@ enum class LogLevel { kDebug = 0, kInfo = 1, kWarning = 2, kError = 3 };
 LogLevel GetLogLevel();
 
 /// Sets the process-wide minimum level emitted by SF_LOG. Messages below the
-/// level are discarded. Default is kInfo (kWarning when the environment
-/// variable SILOFUSE_QUIET is set).
+/// level are discarded. Default is kInfo; the EnvFlag knobs SILOFUSE_QUIET
+/// and SILOFUSE_VERBOSE start it at kWarning or kDebug.
 void SetLogLevel(LogLevel level);
 
 /// One fully formatted log statement, handed to the active sink.

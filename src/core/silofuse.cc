@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <functional>
 #include <map>
@@ -393,8 +394,11 @@ constexpr uint32_t kReferenceStatsVersion = 1;
 /// Writes a file so that readers of `path` only ever see the previous
 /// complete file or the new complete file: `write` fills a fresh temporary
 /// file in the same directory, which is flushed, fsync'ed and then renamed
-/// over `path` (rename within one file system is atomic). On any failure
-/// the temporary file is removed and `path` is left untouched.
+/// over `path` (rename within one file system is atomic). The directory is
+/// fsync'ed last, so a crash after a successful return cannot undo the
+/// rename. On a failure before the rename the temporary file is removed and
+/// `path` is left untouched; a failed directory fsync returns IOError with
+/// the new file already in place.
 Status WriteFileAtomically(const std::string& path,
                            const std::function<Status(std::ostream*)>& write) {
   static std::atomic<uint64_t> sequence{0};
@@ -424,7 +428,17 @@ Status WriteFileAtomically(const std::string& path,
   if (status.ok() && std::rename(tmp.c_str(), path.c_str()) != 0) {
     status = Status::IOError("cannot rename '" + tmp + "' to '" + path + "'");
   }
-  if (!status.ok()) std::remove(tmp.c_str());
+  if (!status.ok()) {
+    std::remove(tmp.c_str());
+    return status;
+  }
+  std::string dir = std::filesystem::path(path).parent_path().string();
+  if (dir.empty()) dir = ".";
+  const int dir_fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
+  if (dir_fd < 0 || ::fsync(dir_fd) != 0) {
+    status = Status::IOError("fsync of directory '" + dir + "' failed");
+  }
+  if (dir_fd >= 0) ::close(dir_fd);
   return status;
 }
 

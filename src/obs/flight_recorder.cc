@@ -15,6 +15,7 @@
 #include <optional>
 #include <tuple>
 
+#include "common/env.h"
 #include "common/logging.h"
 #include "obs/metrics.h"
 #include "obs/trace_context.h"
@@ -350,10 +351,7 @@ const char* FlightPhaseName(FlightPhase phase) {
 }
 
 FlightRecorder::FlightRecorder() {
-  if (const char* flag = std::getenv("SILOFUSE_FLIGHT");
-      flag != nullptr && (flag[0] == '0' || flag[0] == 'n' || flag[0] == 'N')) {
-    enabled_.store(false, std::memory_order_relaxed);
-  }
+  enabled_.store(EnvFlag("SILOFUSE_FLIGHT", true), std::memory_order_relaxed);
   if (const char* dir = std::getenv("SILOFUSE_FLIGHT_DIR");
       dir != nullptr && *dir != '\0') {
     std::lock_guard<std::mutex> lock(g_dump_mu);
@@ -378,14 +376,8 @@ void FlightRecorder::Record(FlightPhase phase, uint64_t request_id,
           .phase_rows = (static_cast<uint32_t>(phase) << 24) | bounded_rows});
 }
 
-std::vector<FlightEvent> FlightRecorder::Snapshot() const {
-  std::vector<FlightEvent> events;
-  for (const TraceEvent& e : Collect(/*with_archive=*/false)) {
-    events.push_back({e.request_id, e.batch_id, e.start_ns,
-                      e.start_ns + e.dur_ns, e.deployment, e.flight_phase,
-                      e.rows, e.tid});
-  }
-  return events;
+std::vector<TraceEvent> FlightRecorder::Snapshot() const {
+  return Collect(/*with_archive=*/false);
 }
 
 Status FlightRecorder::WriteJson(const std::string& path) const {

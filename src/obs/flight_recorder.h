@@ -14,18 +14,6 @@
 namespace silofuse {
 namespace obs {
 
-/// One event of a flight snapshot; spans, flows and counters have kNone.
-struct FlightEvent {
-  uint64_t request_id = 0;  // 0 = not request-scoped (e.g. cache load)
-  uint64_t batch_id = 0;    // 0 = not batch-scoped
-  int64_t start_ns = 0;     // trace epoch (obs::TraceNowNs)
-  int64_t end_ns = 0;
-  const char* deployment = nullptr;  // interned, may be null
-  FlightPhase phase = FlightPhase::kNone;
-  int32_t rows = 0;
-  int tid = 0;  // the same per-thread id SnapshotTraceEvents uses
-};
-
 /// The process's one event store: a ring of 64-byte seqlock slots per
 /// thread, written wait-free. Serving phases (Record) record unless
 /// SILOFUSE_FLIGHT=0; spans, flows and counters only while tracing. Flight
@@ -38,8 +26,9 @@ class FlightRecorder {
   /// Slots per ring (power of two): 256 KiB, ~680 requests at 6 events.
   static constexpr size_t kRingSlots = 4096;
 
-  /// Process-wide instance. Enabled by default; SILOFUSE_FLIGHT=0 disables,
-  /// SILOFUSE_FLIGHT_DIR presets the dump directory.
+  /// Process-wide instance. Enabled by default; SILOFUSE_FLIGHT=0 (or any
+  /// EnvFlag off word) disables, SILOFUSE_FLIGHT_DIR presets the dump
+  /// directory.
   static FlightRecorder& Global();
 
   FlightRecorder(const FlightRecorder&) = delete;
@@ -56,8 +45,9 @@ class FlightRecorder {
   void Record(FlightPhase phase, uint64_t request_id, uint64_t batch_id,
               const char* deployment, int32_t rows, int64_t start_ns,
               int64_t end_ns);
-  /// Each thread's newest kRingSlots stable events, sorted by start time.
-  std::vector<FlightEvent> Snapshot() const;
+  /// Each thread's newest kRingSlots stable events, sorted by start time;
+  /// serving phases carry `flight_phase`, spans/flows/counters kNone.
+  std::vector<TraceEvent> Snapshot() const;
   /// Writes the snapshot in WriteTraceJson's format, with "s"/"f" flow
   /// points chaining each request's phases across threads.
   Status WriteJson(const std::string& path) const;

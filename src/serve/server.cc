@@ -9,6 +9,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/env.h"
 #include "common/logging.h"
 #include "common/rng.h"
 #include "obs/flight_recorder.h"
@@ -97,10 +98,7 @@ SynthesisServer::SynthesisServer(ServeOptions options)
   if (!options_.flight_dump_dir.empty()) {
     obs::FlightRecorder::Global().SetDumpDir(options_.flight_dump_dir);
   }
-  if (const char* env = std::getenv("SILOFUSE_AUDIT");
-      env != nullptr && *env != '\0') {
-    options_.enable_audit = !(env[0] == '0' && env[1] == '\0');
-  }
+  options_.enable_audit = EnvFlag("SILOFUSE_AUDIT", options_.enable_audit);
   if (const char* env = std::getenv("SILOFUSE_AUDIT_SEED");
       env != nullptr && *env != '\0') {
     options_.audit.seed = std::strtoull(env, nullptr, 0);
@@ -116,10 +114,10 @@ SynthesisServer::SynthesisServer(ServeOptions options)
                                                      options_.audit_clock);
   }
   // SILOFUSE_INTROSPECT=<port>|auto|1 forces the introspection plane on
-  // (auto/1 = ephemeral port), 0|off forces it off.
+  // (auto/1 = ephemeral port), an EnvFlag off word forces it off.
   if (const char* env = std::getenv("SILOFUSE_INTROSPECT");
       env != nullptr && *env != '\0') {
-    if (std::strcmp(env, "0") == 0 || std::strcmp(env, "off") == 0) {
+    if (IsEnvOffWord(env)) {
       options_.enable_introspection = false;
     } else {
       options_.enable_introspection = true;
@@ -129,12 +127,6 @@ SynthesisServer::SynthesisServer(ServeOptions options)
     }
   }
   if (options_.enable_introspection) {
-    if (options_.introspection_sample_period_ns > 0) {
-      obs::TimeSeriesOptions ts;
-      ts.period_ns = options_.introspection_sample_period_ns;
-      sampler_ = std::make_unique<obs::TimeSeriesSampler>(ts);
-      sampler_->Start();
-    }
     obs::IntrospectionOptions io;
     io.port = options_.introspection_port;
     introspection_ = std::make_unique<obs::IntrospectionServer>(io);
@@ -143,10 +135,6 @@ SynthesisServer::SynthesisServer(ServeOptions options)
     if (Status s = introspection_->Start(); !s.ok()) {
       SF_LOG(Warning) << "introspection endpoint disabled: " << s.ToString();
       introspection_.reset();
-      if (sampler_ != nullptr) {
-        sampler_->Stop();
-        sampler_.reset();
-      }
     }
   }
   if (options_.enable_slo) {

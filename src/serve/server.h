@@ -15,7 +15,6 @@
 #include "obs/expose.h"
 #include "obs/quality_audit.h"
 #include "obs/slo.h"
-#include "obs/timeseries.h"
 #include "serve/batcher.h"
 #include "serve/model_cache.h"
 
@@ -63,8 +62,8 @@ struct ServeOptions {
   /// and scored against the checkpoint's training-time ReferenceStats,
   /// publishing audit.<deployment>.* gauges and firing a flight-recorder
   /// dump ("quality_breach") on sustained quality breaches. Env override:
-  /// SILOFUSE_AUDIT=1/0 forces it on/off, SILOFUSE_AUDIT_SEED reseeds the
-  /// sampling streams.
+  /// SILOFUSE_AUDIT (an EnvFlag: 1/0, on/off, ...) forces it on/off,
+  /// SILOFUSE_AUDIT_SEED reseeds the sampling streams.
   bool enable_audit = false;
   obs::QualityAuditOptions audit;
   /// Time source for audit pacing and quality-breach windows (tests inject
@@ -77,20 +76,16 @@ struct ServeOptions {
   /// Live introspection plane (obs/expose.h): when enabled the server
   /// starts an embedded loopback HTTP endpoint serving /metrics (Prometheus
   /// text exposition), /varz (metrics JSON), /healthz, and /statusz (the
-  /// rendered DebugSnapshot), plus — when introspection_sample_period_ns
-  /// > 0 — an in-memory time-series sampler (obs/timeseries.h) so /statusz
-  /// and sf_top can show live rates. Scrapes only READ process state; the
-  /// serving data plane never waits on the endpoint. Env override:
+  /// rendered DebugSnapshot). Windowed rates are the scraper's job: sf_top
+  /// diffs consecutive /metrics scrapes. Scrapes only READ process state;
+  /// the serving data plane never waits on the endpoint. Env override:
   /// SILOFUSE_INTROSPECT=<port> forces it on at that port ("auto" or "1"
-  /// picks an ephemeral port; "0" or "off" forces it off).
+  /// picks an ephemeral port; an EnvFlag off word such as "0" or "off"
+  /// forces it off).
   bool enable_introspection = false;
   /// TCP port for the endpoint; 0 = ephemeral (read back with
   /// IntrospectionPort()).
   int introspection_port = 0;
-  /// Background sampling period for the time-series ring; <= 0 leaves the
-  /// sampler thread off (tests drive SampleOnce() by hand so /statusz stays
-  /// deterministic in a quiesced server).
-  int64_t introspection_sample_period_ns = 1000000000;
 };
 
 /// Point-in-time operational state of one SynthesisServer, for debug
@@ -190,10 +185,6 @@ class SynthesisServer {
   /// off (after env overrides) or the port could not be bound.
   int IntrospectionPort() const;
 
-  /// The time-series sampler behind /statusz rates, or nullptr when
-  /// introspection is off. Tests call SampleOnce() on it directly.
-  obs::TimeSeriesSampler* sampler() { return sampler_.get(); }
-
  private:
   /// Lazily creates the deployment's batcher (whose batch function samples
   /// through the cache). Only reached for registered deployments —
@@ -228,9 +219,8 @@ class SynthesisServer {
   // still be sampling on cached models during their drain.
   std::map<std::string, std::unique_ptr<RequestBatcher>> batchers_;
   // Declared last so the introspection plane is destroyed FIRST: the
-  // acceptor must stop calling DebugSnapshot() (and the sampler must stop
-  // snapshotting) before the members they read start tearing down.
-  std::unique_ptr<obs::TimeSeriesSampler> sampler_;       // null unless on
+  // acceptor must stop calling DebugSnapshot() before the batchers and cache
+  // it reads start tearing down.
   std::unique_ptr<obs::IntrospectionServer> introspection_;  // null unless on
 };
 

@@ -23,8 +23,8 @@ bool Enabled();
 /// before enabling free without going negative — see LiveBytes).
 void SetEnabled(bool enabled);
 
-/// Applies SILOFUSE_MEM_STATS (truthy = on). The normal lazy env read runs
-/// once at static init; tests that setenv() later call this.
+/// Applies SILOFUSE_MEM_STATS (an EnvFlag, default off). The normal lazy env
+/// read runs once at static init; tests that setenv() later call this.
 void ReinitFromEnv();
 
 void RecordAlloc(size_t bytes);

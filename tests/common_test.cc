@@ -1,6 +1,9 @@
+#include <cstdlib>
+
 #include <gtest/gtest.h>
 
 #include "common/clock.h"
+#include "common/env.h"
 #include "common/logging.h"
 #include "common/result.h"
 #include "common/retry.h"
@@ -181,6 +184,28 @@ TEST(StringUtilTest, ParseDoubleRejectsInvalid) {
   EXPECT_FALSE(ParseDouble("1.2x", &v));
   EXPECT_FALSE(ParseDouble("nan", &v));
   EXPECT_FALSE(ParseDouble("inf", &v));
+}
+
+TEST(EnvFlagTest, OffWordsInAnyCaseAreFalseAndUnsetOrEmptyFallsBack) {
+  constexpr char kName[] = "ENV_FLAG_TEST_VARIABLE";
+  ::unsetenv(kName);
+  EXPECT_TRUE(EnvFlag(kName, true));
+  EXPECT_FALSE(EnvFlag(kName, false));
+  ::setenv(kName, "", 1);
+  EXPECT_TRUE(EnvFlag(kName, true));
+  EXPECT_FALSE(EnvFlag(kName, false));
+  for (const char* off : {"0", "off", "OFF", "false", "False", "no", "NO", "n",
+                          "N"}) {
+    ::setenv(kName, off, 1);
+    EXPECT_FALSE(EnvFlag(kName, true)) << off;
+    EXPECT_TRUE(IsEnvOffWord(off)) << off;
+  }
+  for (const char* on : {"1", "on", "true", "yes", "y", "auto", "nope", "00"}) {
+    ::setenv(kName, on, 1);
+    EXPECT_TRUE(EnvFlag(kName, false)) << on;
+    EXPECT_FALSE(IsEnvOffWord(on)) << on;
+  }
+  ::unsetenv(kName);
 }
 
 TEST(LoggingTest, LevelRoundTrip) {

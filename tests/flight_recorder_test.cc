@@ -1,11 +1,13 @@
 // Tests of the per-thread event ring (src/obs/flight_recorder): ring
 // round-trip and overwrite semantics, Perfetto-JSON dump validity (parsed
 // back with the repo's own JSON reader), dump-directory plumbing, the trace
-// export's spill archive and shared thread ids, and writer/reader race
-// freedom with and without tracing (this test runs under the TSan CI job).
+// export's spill archive and shared thread ids, the SILOFUSE_FLIGHT switch,
+// and writer/reader race freedom with and without tracing (this test runs
+// under the TSan CI job).
 
 #include <atomic>
 #include <cstdio>
+#include <cstdlib>
 #include <map>
 #include <set>
 #include <string>
@@ -43,17 +45,17 @@ TEST_F(FlightRecorderTest, RecordRoundTripsThroughSnapshot) {
                 "loan", /*rows=*/12, /*start_ns=*/1000, /*end_ns=*/2000);
   flight.Record(FlightPhase::kSample, 42, 7, "loan", 12, 2000, 5000);
 
-  const std::vector<FlightEvent> events = flight.Snapshot();
+  const std::vector<TraceEvent> events = flight.Snapshot();
   ASSERT_EQ(events.size(), 2u);
   // Snapshot is sorted by start time.
-  EXPECT_EQ(events[0].phase, FlightPhase::kQueue);
+  EXPECT_EQ(events[0].flight_phase, FlightPhase::kQueue);
   EXPECT_EQ(events[0].request_id, 42u);
   EXPECT_EQ(events[0].batch_id, 7u);
   EXPECT_EQ(events[0].start_ns, 1000);
-  EXPECT_EQ(events[0].end_ns, 2000);
+  EXPECT_EQ(events[0].start_ns + events[0].dur_ns, 2000);
   EXPECT_EQ(events[0].rows, 12);
   EXPECT_STREQ(events[0].deployment, "loan");
-  EXPECT_EQ(events[1].phase, FlightPhase::kSample);
+  EXPECT_EQ(events[1].flight_phase, FlightPhase::kSample);
   EXPECT_GT(events[1].tid, 0);
 }
 
@@ -68,7 +70,7 @@ TEST_F(FlightRecorderTest, RingOverwritesOldestButCountsEverything) {
   }
   EXPECT_EQ(flight.TotalRecorded() - before, total);
 
-  const std::vector<FlightEvent> events = flight.Snapshot();
+  const std::vector<TraceEvent> events = flight.Snapshot();
   ASSERT_EQ(events.size(), FlightRecorder::kRingSlots);
   // The survivors are exactly the newest kRingSlots events: the oldest
   // `extra` were overwritten.
@@ -92,10 +94,10 @@ TEST_F(FlightRecorderTest, RowsSaturateAtFieldWidth) {
   auto& flight = FlightRecorder::Global();
   flight.Record(FlightPhase::kSample, 1, 0, nullptr, (1 << 24) + 5, 0, 1);
   flight.Record(FlightPhase::kSample, 2, 0, nullptr, -3, 1, 2);
-  const std::vector<FlightEvent> events = flight.Snapshot();
+  const std::vector<TraceEvent> events = flight.Snapshot();
   ASSERT_EQ(events.size(), 2u);
   EXPECT_EQ(events[0].rows, (1 << 24) - 1);  // clamped, phase bits intact
-  EXPECT_EQ(events[0].phase, FlightPhase::kSample);
+  EXPECT_EQ(events[0].flight_phase, FlightPhase::kSample);
   EXPECT_EQ(events[1].rows, 0);  // negative clamps to zero
 }
 
@@ -200,11 +202,11 @@ TEST_F(FlightRecorderTest, ConcurrentWritersAndSnapshotReadersAreRaceFree) {
 
   std::thread reader([&flight, &stop] {
     while (!stop.load(std::memory_order_relaxed)) {
-      for (const FlightEvent& event : flight.Snapshot()) {
+      for (const TraceEvent& event : flight.Snapshot()) {
         // Every surfaced event must be internally consistent — a torn
         // read would surface a mixed-generation (start > end) slot.
-        ASSERT_LE(event.start_ns, event.end_ns);
-        ASSERT_NE(event.phase, FlightPhase::kNone);
+        ASSERT_GE(event.dur_ns, 0);
+        ASSERT_NE(event.flight_phase, FlightPhase::kNone);
       }
     }
   });
@@ -225,7 +227,7 @@ TEST_F(FlightRecorderTest, ConcurrentWritersAndSnapshotReadersAreRaceFree) {
 
   // Quiescent now: every ring is fully stable, so the snapshot returns one
   // full ring per writer thread (plus nothing from this thread).
-  const std::vector<FlightEvent> events = flight.Snapshot();
+  const std::vector<TraceEvent> events = flight.Snapshot();
   EXPECT_EQ(events.size(), kWriters * FlightRecorder::kRingSlots);
 }
 
@@ -253,8 +255,8 @@ TEST_F(FlightRecorderTest, ThreadHasTheSameTidInDumpAndTraceExport) {
   std::map<std::string, int> span_tid;
   for (const TraceEvent& e : SnapshotTraceEvents()) span_tid[e.name] = e.tid;
   std::map<uint64_t, int> flight_tid;
-  for (const FlightEvent& e : flight.Snapshot()) {
-    if (e.phase == FlightPhase::kQueue) flight_tid[e.request_id] = e.tid;
+  for (const TraceEvent& e : flight.Snapshot()) {
+    if (e.flight_phase == FlightPhase::kQueue) flight_tid[e.request_id] = e.tid;
   }
   ASSERT_TRUE(span_tid.count("tid.second") && span_tid.count("tid.fourth"));
   ASSERT_TRUE(flight_tid.count(2) && flight_tid.count(4));
@@ -285,15 +287,15 @@ TEST_F(FlightRecorderTest, TracingArchivesEverySpanWhileDumpsKeepTheNewest) {
   for (int i = 0; i < kSpans; ++i) ASSERT_EQ(starts[i], 10 * i) << i;
 
   // The flight snapshot holds only the ring: the newest kRingSlots spans.
-  std::vector<FlightEvent> ring;
-  for (const FlightEvent& e : flight.Snapshot()) {
+  std::vector<TraceEvent> ring;
+  for (const TraceEvent& e : flight.Snapshot()) {
     if (e.tid == tid) ring.push_back(e);
   }
   ASSERT_EQ(ring.size(), FlightRecorder::kRingSlots);
   EXPECT_EQ(ring.front().start_ns,
             10 * (kSpans - static_cast<int>(FlightRecorder::kRingSlots)));
   EXPECT_EQ(ring.back().start_ns, 10 * (kSpans - 1));
-  EXPECT_EQ(ring.front().phase, FlightPhase::kNone);
+  EXPECT_EQ(ring.front().flight_phase, FlightPhase::kNone);
 }
 
 TEST_F(FlightRecorderTest, ConcurrentSpillAndSnapshotsLoseNothingWhileTracing) {
@@ -321,8 +323,8 @@ TEST_F(FlightRecorderTest, ConcurrentSpillAndSnapshotsLoseNothingWhileTracing) {
   std::thread reader([&] {
     while (writers_done.load() < kWriters) {
       check_prefixes(SnapshotTraceEvents());
-      for (const FlightEvent& event : flight.Snapshot()) {
-        ASSERT_LE(event.start_ns, event.end_ns);
+      for (const TraceEvent& event : flight.Snapshot()) {
+        ASSERT_GE(event.dur_ns, 0);
       }
       snapshots.fetch_add(1);
     }
@@ -354,6 +356,24 @@ TEST_F(FlightRecorderTest, ConcurrentSpillAndSnapshotsLoseNothingWhileTracing) {
             static_cast<size_t>(kWriters) * kBursts * kBurstEvents);
   check_prefixes(events);
   EXPECT_EQ(flight.Snapshot().size(), kWriters * FlightRecorder::kRingSlots);
+}
+
+// SILOFUSE_FLIGHT is read once, when the process-wide recorder is built, so
+// the check runs in a re-executed child that inherits the variable. No
+// fixture: its SetUp would re-enable recording.
+TEST(FlightRecorderEnvTest, FalseDisablesRecording) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  ::setenv("SILOFUSE_FLIGHT", "false", 1);
+  EXPECT_EXIT(
+      {
+        DisableTracing();
+        auto& flight = FlightRecorder::Global();
+        flight.Record(FlightPhase::kQueue, /*request_id=*/1, /*batch_id=*/1,
+                      "loan", /*rows=*/4, /*start_ns=*/0, /*end_ns=*/10);
+        std::_Exit(!flight.enabled() && flight.Snapshot().empty() ? 0 : 1);
+      },
+      ::testing::ExitedWithCode(0), "");
+  ::unsetenv("SILOFUSE_FLIGHT");
 }
 
 }  // namespace

@@ -254,7 +254,7 @@ TEST_F(HealthTest, HealthySiloFuseRunHasNoWatchdogAborts) {
   EXPECT_TRUE(saw_coordinator_layer);
 }
 
-TEST_F(HealthTest, QualityProbesEmitTimeSeriesInExportedJson) {
+TEST_F(HealthTest, QualityProbesEmitPerProbeSeriesInExportedJson) {
   SiloFuseOptions options = TinyOptions();
   options.base.quality_probe_every = 40;  // 3 probes over 120 diffusion steps
   options.base.quality_probe_rows = 64;

@@ -1093,8 +1093,7 @@ TEST_F(ServeTest, StatuszMatchesDebugSnapshotFieldForField) {
   ServeOptions options;
   options.batcher.max_linger_us = 0;
   options.enable_introspection = true;
-  options.introspection_port = 0;            // ephemeral
-  options.introspection_sample_period_ns = 0;  // no sampler thread: quiesced
+  options.introspection_port = 0;  // ephemeral
   SynthesisServer server(options);
   ASSERT_GT(server.IntrospectionPort(), 0);
   ASSERT_TRUE(server.RegisterDeployment("statusz", checkpoint_path_).ok());
@@ -1156,7 +1155,6 @@ TEST_F(ServeTest, SynthesisBytesIdenticalWithIntrospectionOnOrOff) {
   on_options.batcher.max_linger_us = 0;
   on_options.enable_introspection = true;
   on_options.introspection_port = 0;
-  on_options.introspection_sample_period_ns = 1LL * 1000 * 1000;  // 1 ms
   SynthesisServer on_server(on_options);
   ASSERT_GT(on_server.IntrospectionPort(), 0);
   ASSERT_TRUE(on_server.RegisterDeployment("ident_on", checkpoint_path_).ok());
@@ -1251,7 +1249,6 @@ TEST_F(ServeTest, IntrospectEnvOverridesServeOptions) {
     options.enable_introspection = true;
     SynthesisServer server(options);
     EXPECT_EQ(server.IntrospectionPort(), -1);
-    EXPECT_EQ(server.sampler(), nullptr);
   }
   {
     ::setenv("SILOFUSE_INTROSPECT", "auto", 1);
@@ -1264,6 +1261,22 @@ TEST_F(ServeTest, IntrospectEnvOverridesServeOptions) {
     EXPECT_EQ(healthz.Value(), "ok\n");
   }
   ::unsetenv("SILOFUSE_INTROSPECT");
+}
+
+// SILOFUSE_AUDIT reads like every boolean knob: "off" and "false" turn
+// auditing off, they do not force it on.
+TEST_F(ServeTest, AuditEnvOffWordsDisableAuditing) {
+  for (const char* off : {"0", "off", "false", "NO"}) {
+    ::setenv("SILOFUSE_AUDIT", off, 1);
+    ServeOptions options;
+    options.enable_audit = true;
+    SynthesisServer server(options);
+    EXPECT_EQ(server.auditor(), nullptr) << off;
+  }
+  ::setenv("SILOFUSE_AUDIT", "on", 1);
+  SynthesisServer server{ServeOptions{}};  // auditing off by default
+  EXPECT_NE(server.auditor(), nullptr);
+  ::unsetenv("SILOFUSE_AUDIT");
 }
 
 }  // namespace
